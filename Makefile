@@ -59,12 +59,13 @@ evolve-smoke:
 	$(GO) run ./cmd/moebench -evolve-json /tmp/evolve-smoke.json
 
 # bench-smoke is the CI guard: cheap fixed-iteration runs of the sim
-# stepping-loop, batch decision, and wire codec microbenchmarks that fail
+# stepping-loop, batch decision, single-shot decision (the full ladder, with
+# and without a telemetry sink), and wire codec microbenchmarks that fail
 # if any steady-state loop ever allocates again. Timing is not asserted (CI
 # machines are too noisy); the allocs/op == 0 invariant is.
 bench-smoke:
 	$(GO) test ./internal/sim -run=NONE -bench 'StepLoop' -benchmem -benchtime=100x -count=2 | tee bench-smoke.txt
-	$(GO) test . -run=NONE -bench 'DecideBatchSteady' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
+	$(GO) test . -run=NONE -bench 'DecideBatchSteady|^BenchmarkDecide$$|DecideInstrumented' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
 	$(GO) test ./internal/wire -run=NONE -bench 'WireRoundTrip' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
 	@if grep -E '[1-9][0-9]* allocs/op' bench-smoke.txt; then \
 		echo 'bench-smoke: a steady-state hot loop allocates'; exit 1; \

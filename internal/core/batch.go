@@ -26,7 +26,6 @@ package core
 // chaos fault suite, and a fuzzer.
 
 import (
-	"moe/internal/expert"
 	"moe/internal/features"
 	"moe/internal/sim"
 )
@@ -104,66 +103,6 @@ func (m *Mixture) Regime() Regime {
 	}
 }
 
-// fastScratch holds the fast path's preallocated buffers and memoized
-// gating evaluations. Positional invalidation is structural: the scratch's
-// evaluations are only ever consumed by the FastCommit immediately
-// following the FastPlan that wrote them, and any expert/health/trust state
-// change in between can only come from the full Decide path — which is only
-// reachable after the plan already failed.
-type fastScratch struct {
-	errors     []float64                   // memoized gating errors (likelihood-scaled)
-	raw        []float64                   // memoized raw errors (accuracy statistics)
-	healthEMA  []float64                   // memoized post-observation health error EMAs
-	finiteTrue []bool                      // all-true: the plan proved every prediction finite
-	selX       []float64                   // selector standardization scratch (Dim+1)
-	selScores  []float64                   // selector score scratch (k)
-	selSD      []float64                   // per-decision selector deviation cache (Dim)
-	predBuf    []float64                   // expert regression-input scratch
-	sigma      []*[features.EnvDim]float64 // per-expert cached residual scales
-
-	plannedNorm  float64 // observed environment norm from the last plan
-	plannedChurn float64 // availability-churn EMA from the last plan
-
-	// Deferred histogram increments: map inserts allocate, so fast commits
-	// count into flat arrays and FlushFast folds them into the canonical
-	// histograms before the decision lock is released. Increments commute
-	// with the direct Add calls of interleaved full-ladder decisions.
-	selAdds    []int
-	threadAdds []int
-	dirty      bool
-}
-
-// fastScratchInit lazily builds the scratch (one allocation ever, on the
-// first planned decision).
-func (m *Mixture) fastScratchInit() *fastScratch {
-	if m.fast != nil {
-		return m.fast
-	}
-	k := len(m.experts)
-	fs := &fastScratch{
-		errors:     make([]float64, k),
-		raw:        make([]float64, k),
-		healthEMA:  make([]float64, k),
-		finiteTrue: make([]bool, k),
-		selX:       make([]float64, features.Dim+1),
-		selScores:  make([]float64, k),
-		selSD:      make([]float64, features.Dim),
-		predBuf:    make([]float64, expert.PredictScratchLen),
-		sigma:      make([]*[features.EnvDim]float64, k),
-		selAdds:    make([]int, k),
-	}
-	for i := range fs.finiteTrue {
-		fs.finiteTrue[i] = true
-	}
-	for i, e := range m.experts {
-		if vm, ok := e.Env.(expert.VectorEnvModel); ok {
-			fs.sigma[i] = vm.ResidualSigma()
-		}
-	}
-	m.fast = fs
-	return fs
-}
-
 // FastPlan runs the pure healthy-regime precheck for d: it proves that no
 // rung of the degradation ladder can fire on this decision and memoizes the
 // gating evaluations it computed. It mutates nothing; when it returns false
@@ -185,7 +124,7 @@ func (m *Mixture) FastPlan(d *sim.Decision) bool {
 	if storming {
 		return false
 	}
-	fs := m.fastScratchInit()
+	fs := m.liveScratch()
 	observedEnv := f.EnvPart()
 	observedNorm := observedEnv.Norm()
 	for k := range m.experts {
@@ -193,6 +132,7 @@ func (m *Mixture) FastPlan(d *sim.Decision) bool {
 		if !pred.Finite() {
 			return false
 		}
+		fs.finite[k] = true
 		gating, raw := pred.ErrorsWith(&observedEnv, observedNorm)
 		fs.errors[k] = gating * applicabilityFactor(m.experts[k], &m.pendingFeat)
 		fs.raw[k] = raw
@@ -205,7 +145,7 @@ func (m *Mixture) FastPlan(d *sim.Decision) bool {
 		}
 		fs.healthEMA[k] = ema
 	}
-	if consensusSuspect(fs.raw, fs.finiteTrue, observedNorm) {
+	if consensusSuspect(fs.raw, fs.finite, observedNorm) {
 		return false
 	}
 	fs.plannedNorm = observedNorm
@@ -222,7 +162,7 @@ func (m *Mixture) FastPlan(d *sim.Decision) bool {
 // histograms. Calling FastCommit without a successful plan for the same d
 // is a contract violation.
 func (m *Mixture) FastCommit(d *sim.Decision) int {
-	fs := m.fast
+	fs := m.scratch
 	f := &d.Features
 	observedNorm := fs.plannedNorm
 
@@ -258,33 +198,16 @@ func (m *Mixture) FastCommit(d *sim.Decision) int {
 	// observation, so the selection is usable and neither the reroute nor
 	// the OS-default rung can fire.
 	fs.selAdds[k]++
-	n := m.experts[k].PredictThreadsBuf(f, d.MaxThreads, fs.predBuf)
+	n := m.experts[k].PredictThreads(*f, d.MaxThreads)
 	for len(fs.threadAdds) <= n {
 		fs.threadAdds = append(fs.threadAdds, 0)
 	}
 	fs.threadAdds[n]++
 	fs.dirty = true
 
-	x := fs.predBuf[:features.Dim]
-	copy(x, f[:])
-	for i, e := range m.experts {
-		e.PredictEnvIntoStaged(&m.pendingPred[i], f, x, fs.sigma[i])
-	}
-	m.pendingFeat = *f
+	m.refreshPending(f, fs)
 	m.fastPrimed = true
 	return n
-}
-
-// DecideFast attempts d on the healthy-regime fast path: (n, true) when the
-// plan succeeded and was committed, (0, false) with all state untouched
-// otherwise. Callers composing their own batch loop (the Runtime) invoke
-// FastPlan and FastCommit separately so they can interleave bookkeeping —
-// journaling — between the two.
-func (m *Mixture) DecideFast(d sim.Decision) (int, bool) {
-	if !m.FastPlan(&d) {
-		return 0, false
-	}
-	return m.FastCommit(&d), true
 }
 
 // FlushFast folds the deferred histogram increments from fast commits into
@@ -292,7 +215,7 @@ func (m *Mixture) DecideFast(d sim.Decision) (int, bool) {
 // decision lock at the end of every batch (and before any snapshot), so no
 // reader can ever observe the deferred state.
 func (m *Mixture) FlushFast() {
-	fs := m.fast
+	fs := m.scratch
 	if fs == nil || !fs.dirty {
 		return
 	}
@@ -317,9 +240,9 @@ func (m *Mixture) FlushFast() {
 // to this pool, and through the public (allocating) interface otherwise:
 // mismatched or custom selectors stay byte-identical, just not fused or
 // allocation-free.
-func (m *Mixture) fastSelectorStep(f *features.Vector, fs *fastScratch) (chosen, sel int) {
-	if h, ok := m.selector.(*HyperplaneSelector); ok && h.k == len(m.experts) {
-		return h.fastUpdateSelect(&m.pendingFeat, f, fs.errors, fs.selX, fs.selScores, fs.selSD)
+func (m *Mixture) fastSelectorStep(f *features.Vector, fs *decideScratch) (chosen, sel int) {
+	if h := m.hyperplane(); h != nil {
+		return h.fastUpdateSelect(&m.pendingFeat, f, fs.errors, fs.selX[:], fs.selScores, fs.selSD[:])
 	}
 	m.selector.Update(m.pendingFeat, fs.errors)
 	return m.selector.Select(m.pendingFeat), m.selector.Select(*f)

@@ -119,6 +119,16 @@ func TestRegimeDispatch(t *testing.T) {
 // fastPlan adapts FastPlan's pointer signature for one-shot test probes.
 func fastPlan(m *Mixture, d sim.Decision) bool { return m.FastPlan(&d) }
 
+// decideFast attempts d on the healthy-regime fast path the way the
+// Runtime's batch loop does: (n, true) when the plan succeeded and was
+// committed, (0, false) with all state untouched otherwise.
+func decideFast(m *Mixture, d sim.Decision) (int, bool) {
+	if !m.FastPlan(&d) {
+		return 0, false
+	}
+	return m.FastCommit(&d), true
+}
+
 // TestFastPlanDemotions pins the per-observation half: each condition the
 // plan must prove absent, when present, fails the plan — and because the
 // plan is pure, the mixture afterwards behaves as if it never ran.
@@ -229,7 +239,7 @@ func mixtureFingerprint(m *Mixture) string {
 }
 
 // TestDecideFastEquivalence is the core-level differential test: a stream
-// alternating healthy and demoting observations through DecideFast-with-
+// alternating healthy and demoting observations through decideFast-with-
 // fallback must match pure Decide decision-for-decision and leave
 // bit-identical analysis state.
 func TestDecideFastEquivalence(t *testing.T) {
@@ -255,7 +265,7 @@ func TestDecideFastEquivalence(t *testing.T) {
 			d = batchDecision(i, 0, 0.001) // consensus-suspect territory (zeroed env)
 		}
 		want := ref.Decide(d)
-		got, ok := fast.DecideFast(d)
+		got, ok := decideFast(fast, d)
 		if !ok {
 			got = fast.Decide(d)
 		} else {
@@ -285,7 +295,7 @@ func TestFlushFastBeforeSnapshot(t *testing.T) {
 	m.Decide(batchDecision(0, 10, 8))
 	served := 1
 	for i := 1; i < 20; i++ {
-		if _, ok := m.DecideFast(batchDecision(i, 10, 8)); !ok {
+		if _, ok := decideFast(m, batchDecision(i, 10, 8)); !ok {
 			t.Fatalf("decision %d unexpectedly demoted", i)
 		}
 		served++

@@ -279,11 +279,11 @@ func (m *Mixture) removePoolExpert(k int) {
 	m.poolShapeChanged()
 }
 
-// poolShapeChanged invalidates everything sized to the pool: the fast-path
-// scratch is rebuilt on next use, and detail capture re-baselines its
-// health-state diff (the transition stream resumes one decision later).
+// poolShapeChanged invalidates the fast path's standing-regime proof, and
+// detail capture re-baselines its health-state diff (the transition stream
+// resumes one decision later). The decision scratch follows the pool by
+// itself.
 func (m *Mixture) poolShapeChanged() {
-	m.fast = nil
 	m.fastPrimed = false
 	if det := m.detail; det != nil {
 		det.states = det.states[:0]

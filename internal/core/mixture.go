@@ -88,10 +88,9 @@ type Mixture struct {
 	// decision — the golden-trace tests pin that.
 	detail *decisionDetail
 
-	// fast holds the healthy-regime fast path's preallocated scratch and
-	// memoized gating evaluations (see batch.go); nil until the first
-	// FastPlan.
-	fast *fastScratch
+	// scratch is the per-decision working memory both ladders share (see
+	// decideScratch); nil until the first decision.
+	scratch *decideScratch
 
 	// fastPrimed records that the last mutation was a FastCommit, which
 	// provably preserves RegimeHealthy (no health transition, detail capture
@@ -110,6 +109,84 @@ type Mixture struct {
 	// composition can be rebuilt by name from indexes into it (evolved
 	// members carry their full coefficient tables in the snapshot instead).
 	baseline expert.Set
+}
+
+// decideScratch is the working memory the full Decide ladder and the batch
+// fast path (see batch.go) share. Its per-expert entries are sized to the
+// live pool and rebuilt when evolution or a restore changes the pool's
+// size; each cached sigma is keyed to its expert's pointer, so an expert
+// that takes over a slot never reads its predecessor's scales.
+type decideScratch struct {
+	experts   []*expert.Expert            // the expert each sigma was cached for
+	sigma     []*[features.EnvDim]float64 // per-expert cached residual scales
+	errors    []float64                   // gating errors (likelihood-scaled)
+	raw       []float64                   // raw errors (accuracy statistics)
+	finite    []bool                      // per-expert prediction finiteness
+	healthEMA []float64                   // planned post-observation health error EMAs
+	selScores []float64                   // selector score scratch (k)
+	selX      [features.Dim + 1]float64   // selector standardization scratch
+	selSD     [features.Dim]float64       // per-decision selector deviation cache
+	stage     [features.Dim]float64       // staged features for the environment predictors
+
+	plannedNorm  float64 // observed environment norm from the last plan
+	plannedChurn float64 // availability-churn EMA from the last plan
+
+	// Deferred histogram increments: map inserts allocate, so fast commits
+	// count into flat arrays and FlushFast folds them into the canonical
+	// histograms before the decision lock is released. Increments commute
+	// with the direct Add calls of interleaved full-ladder decisions.
+	selAdds    []int
+	threadAdds []int
+	dirty      bool
+}
+
+// liveScratch returns the scratch sized to and keyed for the live pool.
+// It allocates only on the first decision and when the pool size changes.
+func (m *Mixture) liveScratch() *decideScratch {
+	s := m.scratch
+	if k := len(m.experts); s == nil || len(s.experts) != k {
+		s = &decideScratch{
+			experts:   make([]*expert.Expert, k),
+			sigma:     make([]*[features.EnvDim]float64, k),
+			errors:    make([]float64, k),
+			raw:       make([]float64, k),
+			finite:    make([]bool, k),
+			healthEMA: make([]float64, k),
+			selScores: make([]float64, k),
+			selAdds:   make([]int, k),
+		}
+		m.scratch = s
+	}
+	for i, e := range m.experts {
+		if s.experts[i] != e {
+			s.experts[i], s.sigma[i] = e, nil
+			if vm, ok := e.Env.(expert.VectorEnvModel); ok {
+				s.sigma[i] = vm.ResidualSigma()
+			}
+		}
+	}
+	return s
+}
+
+// hyperplane returns the selector as the paper's hyperplane scheme when it
+// is sized to this pool, so callers can run its scratch kernels; nil
+// otherwise (custom or mismatched selectors go through the interface).
+func (m *Mixture) hyperplane() *HyperplaneSelector {
+	if h, ok := m.selector.(*HyperplaneSelector); ok && h.k == len(m.experts) {
+		return h
+	}
+	return nil
+}
+
+// refreshPending stashes every expert's environment prediction from f for
+// scoring at the next observation, through one staged copy of f.
+func (m *Mixture) refreshPending(f *features.Vector, s *decideScratch) {
+	x := s.stage[:]
+	copy(x, f[:])
+	for i, e := range m.experts {
+		e.PredictEnvIntoStaged(&m.pendingPred[i], f, x, s.sigma[i])
+	}
+	m.pendingFeat = *f
 }
 
 // decisionDetail is the per-decision scratch the telemetry layer reads.
@@ -230,6 +307,9 @@ func (m *Mixture) Decide(d sim.Decision) int {
 		suspect = repaired > 0 || storming
 	}
 
+	s := m.liveScratch()
+	h := m.hyperplane()
+
 	// Score the pending predictions now that e_t is observable. Per §5.3
 	// only this single (last-timestep) observation updates M.
 	if m.pendingValid {
@@ -240,15 +320,14 @@ func (m *Mixture) Decide(d sim.Decision) int {
 		// gating of the classic mixture-of-experts formulation): a
 		// 12-core-trained expert is no authority on a 32-processor
 		// machine no matter how lucky its last prediction was.
-		errors := make([]float64, len(m.experts))
-		raw := make([]float64, len(m.experts))
-		finite := make([]bool, len(m.experts))
+		errors, raw, finite := s.errors, s.raw, s.finite
 		for k := range m.experts {
-			pred := m.pendingPred[k]
+			pred := &m.pendingPred[k]
 			finite[k] = pred.Finite()
 			if finite[k] {
-				errors[k] = pred.Error(observedEnv) * applicabilityFactor(m.experts[k], &m.pendingFeat)
-				raw[k] = pred.RawError(observedEnv)
+				gating, r := pred.ErrorsWith(&observedEnv, observedNorm)
+				errors[k] = gating * applicabilityFactor(m.experts[k], &m.pendingFeat)
+				raw[k] = r
 			} else {
 				// A corrupt expert's NaN must not poison the selector's
 				// bookkeeping; a finite error far beyond anything a
@@ -286,10 +365,16 @@ func (m *Mixture) Decide(d sim.Decision) int {
 			if m.evo != nil {
 				m.evoRecordScored(raw, observedNorm, d.Rate)
 			}
-			m.selector.Update(m.pendingFeat, errors)
+			var chosen int
+			if h != nil {
+				h.updateWith(&m.pendingFeat, errors, s.selX[:], s.selScores)
+				chosen = h.selectWith(&m.pendingFeat, s.selX[:], s.selScores)
+			} else {
+				m.selector.Update(m.pendingFeat, errors)
+				chosen = m.selector.Select(m.pendingFeat)
+			}
 
 			// Mixture-level accuracy: was the *chosen* expert accurate?
-			chosen := m.selector.Select(m.pendingFeat)
 			m.mixObserved++
 			if chosen >= 0 && chosen < len(raw) && withinEnvTolerance(raw[chosen], observedNorm) {
 				m.mixAccurate++
@@ -337,7 +422,12 @@ func (m *Mixture) Decide(d sim.Decision) int {
 			det.rung = "os-default"
 		}
 	} else {
-		k := m.selector.Select(sel)
+		var k int
+		if h != nil {
+			k = h.selectWith(&sel, s.selX[:], s.selScores)
+		} else {
+			k = m.selector.Select(sel)
+		}
 		rung := "selector"
 		if k < 0 || k >= len(m.experts) || !m.health.usable(k) {
 			k = m.health.healthiest()
@@ -369,10 +459,7 @@ func (m *Mixture) Decide(d sim.Decision) int {
 		if len(m.pendingPred) != len(m.experts) {
 			m.pendingPred = make([]expert.EnvPrediction, len(m.experts))
 		}
-		for i, e := range m.experts {
-			m.pendingPred[i] = e.PredictEnv(f)
-		}
-		m.pendingFeat = f
+		m.refreshPending(&f, s)
 		m.pendingValid = len(m.experts) > 0
 	}
 

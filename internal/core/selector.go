@@ -249,21 +249,15 @@ func (h *HyperplaneSelector) scoreStandardized(x, out []float64) []float64 {
 // owns the region containing f, discounted by its recent prediction error,
 // with hysteresis in favour of the incumbent so near-ties do not flap.
 func (h *HyperplaneSelector) Select(f features.Vector) int {
-	return h.selectWith(&f, nil, nil)
+	return h.selectWith(&f, make([]float64, features.Dim+1), make([]float64, h.k))
 }
 
-// selectWith is Select with caller scratch (x: len ≥ Dim+1, out: len ≥ k;
-// nil allocates). The selection — including the incumbent mutation — is
-// identical to Select's.
+// selectWith is Select with caller scratch (x: len ≥ Dim+1, out: len ≥ k).
+// The selection — including the incumbent mutation — is identical to
+// Select's.
 func (h *HyperplaneSelector) selectWith(f *features.Vector, x, out []float64) int {
 	if h.k == 1 {
 		return 0
-	}
-	if x == nil {
-		x = make([]float64, features.Dim+1)
-	}
-	if out == nil {
-		out = make([]float64, h.k)
 	}
 	return h.selectScored(h.scoresWith(f, x, out))
 }
@@ -295,21 +289,15 @@ func (h *HyperplaneSelector) selectScored(sc []float64) int {
 // the current owner of f differs, the two experts' hyperplanes are nudged
 // so f reclassifies.
 func (h *HyperplaneSelector) Update(f features.Vector, errors []float64) {
-	h.updateWith(&f, errors, nil, nil)
+	h.updateWith(&f, errors, make([]float64, features.Dim+1), make([]float64, h.k))
 }
 
-// updateWith is Update with caller scratch (x: len ≥ Dim+1, out: len ≥ k;
-// nil allocates). Every mutation — Welford statistics, error EMAs, votes,
-// misses, the perceptron step — is identical to Update's.
+// updateWith is Update with caller scratch (x: len ≥ Dim+1, out: len ≥ k).
+// Every mutation — Welford statistics, error EMAs, votes, misses, the
+// perceptron step — is identical to Update's.
 func (h *HyperplaneSelector) updateWith(f *features.Vector, errors, x, out []float64) {
 	if h.k == 1 || len(errors) != h.k {
 		return
-	}
-	if x == nil {
-		x = make([]float64, features.Dim+1)
-	}
-	if out == nil {
-		out = make([]float64, h.k)
 	}
 	h.observe(f)
 

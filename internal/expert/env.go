@@ -116,8 +116,8 @@ func (p EnvPrediction) Error(observed features.Env) float64 {
 // feed both distances with Error's and RawError's exact arithmetic, so the
 // results are bit-identical to calling the two methods separately; only the
 // redundant passes (and, for norm-only predictions, the repeated
-// observed-norm computation) are gone. This is the batch fast path's gating
-// kernel — FastPlan scores every expert per observation, which makes the
+// observed-norm computation) are gone. This is the gating kernel of both
+// decision ladders — every decision scores every expert, which makes the
 // two-methods form the hottest redundancy in the whole decision loop.
 func (p *EnvPrediction) ErrorsWith(observed *features.Env, observedNorm float64) (gating, raw float64) {
 	if !p.HasVec {
@@ -161,20 +161,14 @@ type NormEnvModel struct {
 
 // Predict implements EnvModel.
 func (m NormEnvModel) Predict(f features.Vector) EnvPrediction {
-	return m.predictWith(f.Slice())
+	var p EnvPrediction
+	m.predictInto(&p, f[:])
+	return p
 }
 
-// predictWith is Predict over a caller-owned slice already holding f's
-// components — the allocation-free kernel behind Expert.PredictEnvBuf.
-func (m NormEnvModel) predictWith(x []float64) EnvPrediction {
-	v := m.Model.MustPredict(x)
-	if v < 0 {
-		v = 0
-	}
-	return EnvPrediction{Norm: v}
-}
-
-// predictInto is predictWith writing the (identical) prediction in place.
+// predictInto writes the prediction for a caller-owned slice already
+// holding f's components — the allocation-free kernel behind Predict and
+// Expert.PredictEnvIntoStaged.
 func (m NormEnvModel) predictInto(dst *EnvPrediction, x []float64) {
 	v := m.Model.MustPredict(x)
 	if v < 0 {
@@ -210,36 +204,14 @@ type VectorEnvModel struct {
 
 // Predict implements EnvModel.
 func (m VectorEnvModel) Predict(f features.Vector) EnvPrediction {
-	return m.predictWith(f.Slice(), m.ResidualSigma())
+	var p EnvPrediction
+	m.predictInto(&p, f[:], m.ResidualSigma())
+	return p
 }
 
-// predictWith is Predict over a caller-owned feature slice, attaching sigma
-// — which must be ResidualSigma()'s value — instead of allocating a fresh
-// copy per prediction.
-func (m VectorEnvModel) predictWith(x []float64, sigma *[features.EnvDim]float64) EnvPrediction {
-	var vals [features.EnvDim]float64
-	for i, mod := range m.Models {
-		v := mod.MustPredict(x)
-		if v < 0 {
-			v = 0 // all environment features are non-negative quantities
-		}
-		vals[i] = v
-	}
-	vec := features.Env{
-		WorkloadThreads: vals[features.WorkloadThreads-features.EnvStart],
-		Processors:      vals[features.Processors-features.EnvStart],
-		RunQueue:        vals[features.RunQueueSize-features.EnvStart],
-		Load1:           vals[features.CPULoad1-features.EnvStart],
-		Load5:           vals[features.CPULoad5-features.EnvStart],
-		CachedMem:       vals[features.CachedMemory-features.EnvStart],
-		PageFreeRate:    vals[features.PageFreeRate-features.EnvStart],
-	}
-	return EnvPrediction{Norm: vec.Norm(), Vec: vec, HasVec: true, Sigma: sigma}
-}
-
-// predictInto is predictWith writing the (identical) prediction in place:
-// the same per-dimension models, clamps and norm, filling the caller's
-// struct directly instead of copying a returned one.
+// predictInto writes the prediction for a caller-owned feature slice,
+// attaching sigma — which must be ResidualSigma()'s value — instead of
+// allocating a fresh copy per prediction.
 func (m VectorEnvModel) predictInto(dst *EnvPrediction, x []float64, sigma *[features.EnvDim]float64) {
 	var vals [features.EnvDim]float64
 	for i, mod := range m.Models {

@@ -134,27 +134,12 @@ func (e *Expert) MaxEnvZ(f *features.Vector) float64 {
 // better. Canonical Table 1 experts (no speedup surface) always use the
 // direct form.
 func (e *Expert) PredictThreads(f features.Vector, callerMax int) int {
-	return e.predictThreadsWith(&f, callerMax, nil)
-}
-
-// PredictThreadsBuf is PredictThreads with caller scratch (len ≥
-// PredictScratchLen): the choice is identical, the per-call regression
-// input allocations are not made. A too-short buf falls back to the
-// allocating path.
-func (e *Expert) PredictThreadsBuf(f *features.Vector, callerMax int, buf []float64) int {
-	if len(buf) < PredictScratchLen {
-		buf = nil
-	}
-	return e.predictThreadsWith(f, callerMax, buf)
-}
-
-func (e *Expert) predictThreadsWith(f *features.Vector, callerMax int, buf []float64) int {
 	limit := e.MaxThreads
 	if callerMax > 0 && callerMax < limit {
 		limit = callerMax
 	}
 	if e.HeuristicFn != nil {
-		n := e.HeuristicFn(*f)
+		n := e.HeuristicFn(f)
 		if n < 1 {
 			n = 1
 		}
@@ -163,17 +148,10 @@ func (e *Expert) predictThreadsWith(f *features.Vector, callerMax int, buf []flo
 		}
 		return n
 	}
-	var x []float64
-	if buf != nil {
-		x = buf[:features.Dim]
-		copy(x, f[:])
-	} else {
-		x = f.Slice()
-	}
-	nw := e.Threads.MustPredict(x)
+	nw := e.Threads.MustPredict(f[:])
 	n := nw
 	if e.Speedup != nil {
-		z := e.MaxEnvZ(f)
+		z := e.MaxEnvZ(&f)
 		// z ≤ 1.5: in distribution, trust w. z ≥ 4: far outside, trust
 		// the speedup argmax. Linear blend between.
 		lambda := (z - 1.5) / 2.5
@@ -181,9 +159,7 @@ func (e *Expert) predictThreadsWith(f *features.Vector, callerMax int, buf []flo
 			if lambda > 1 {
 				lambda = 1
 			}
-			// x has been consumed by the thread predictor above; the basis
-			// expansion may reuse the same scratch.
-			nx, _ := e.Speedup.bestWith(*f, limit, buf)
+			nx, _ := e.Speedup.Best(f, limit)
 			n = (1-lambda)*nw + lambda*float64(nx)
 		}
 	}
@@ -212,54 +188,13 @@ func (e *Expert) PredictEnv(f features.Vector) EnvPrediction {
 	return e.Env.Predict(f)
 }
 
-// PredictEnvBuf is PredictEnv with caller scratch: buf (len ≥
-// PredictScratchLen) receives the feature slice handed to the regression
-// models, and sigma — when the environment predictor is a VectorEnvModel —
-// must be its cached ResidualSigma value (nil otherwise). The prediction is
-// identical to PredictEnv's; only the allocations differ. Unknown model
-// implementations fall back to the allocating path.
-func (e *Expert) PredictEnvBuf(f *features.Vector, buf []float64, sigma *[features.EnvDim]float64) EnvPrediction {
-	if len(buf) < features.Dim {
-		return e.Env.Predict(*f)
-	}
-	x := buf[:features.Dim]
-	copy(x, f[:])
-	switch m := e.Env.(type) {
-	case NormEnvModel:
-		return m.predictWith(x)
-	case VectorEnvModel:
-		return m.predictWith(x, sigma)
-	default:
-		return e.Env.Predict(*f)
-	}
-}
-
-// PredictEnvInto is PredictEnvBuf writing the prediction in place — the
-// batch fast path refreshes every expert's pending prediction per decision,
-// and the in-place form spares the return-value copy chain. The stored
-// prediction is identical to PredictEnvBuf's.
-func (e *Expert) PredictEnvInto(dst *EnvPrediction, f *features.Vector, buf []float64, sigma *[features.EnvDim]float64) {
-	if len(buf) < features.Dim {
-		*dst = e.Env.Predict(*f)
-		return
-	}
-	x := buf[:features.Dim]
-	copy(x, f[:])
-	switch m := e.Env.(type) {
-	case NormEnvModel:
-		m.predictInto(dst, x)
-	case VectorEnvModel:
-		m.predictInto(dst, x, sigma)
-	default:
-		*dst = e.Env.Predict(*f)
-	}
-}
-
-// PredictEnvIntoStaged is PredictEnvInto for a caller that has already
-// staged f's components into x (exactly as copy(x, f[:]) with len(x) ==
-// features.Dim would): the batch fast path refreshes every expert against
-// the same feature vector, so one staging copy serves the whole pool. f is
-// still consulted on the fallback path for unknown model implementations.
+// PredictEnvIntoStaged is PredictEnv writing the (identical) prediction in
+// place, for a caller that has already staged f's components into x
+// (len(x) == features.Dim): the mixture refreshes every expert against the
+// same feature vector on every decision, so one staging copy serves the
+// whole pool. sigma — when the environment predictor is a VectorEnvModel —
+// must be its cached ResidualSigma value (nil otherwise). f is still
+// consulted on the fallback path for unknown model implementations.
 func (e *Expert) PredictEnvIntoStaged(dst *EnvPrediction, f *features.Vector, x []float64, sigma *[features.EnvDim]float64) {
 	switch m := e.Env.(type) {
 	case NormEnvModel:

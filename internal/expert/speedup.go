@@ -31,11 +31,6 @@ type SpeedupModel struct {
 // memory-boundedness of the loop's code.
 const speedupBasisDim = features.Dim + 8
 
-// PredictScratchLen is the scratch length PredictThreadsBuf and
-// PredictEnvBuf accept: wide enough for the speedup basis, the widest
-// regression input any expert evaluates.
-const PredictScratchLen = speedupBasisDim
-
 // SpeedupBasis expands (f, n) into the regression basis for x.
 func SpeedupBasis(f features.Vector, n int) []float64 {
 	return SpeedupBasisInto(make([]float64, speedupBasisDim), f, n)
@@ -66,24 +61,39 @@ func (s *SpeedupModel) Predict(f features.Vector, n int) float64 {
 
 // Best returns argmax_n x(n, f) over 1..maxN and the predicted speedup
 // there — the thread predictor w of §4.1.
+//
+// The argmax never builds the basis. Only the last eight basis terms depend
+// on n, so the bias plus the ten raw-feature terms is summed once and each
+// candidate adds its eight n-terms on top. The sum runs in the model's own
+// weight order with each basis value grouped exactly as SpeedupBasisInto
+// computes it, so every candidate's value is bit-identical to
+// Model.MustPredict(SpeedupBasis(f, n)).
 func (s *SpeedupModel) Best(f features.Vector, maxN int) (int, float64) {
-	return s.bestWith(f, maxN, nil)
-}
-
-// bestWith is Best with caller scratch (len ≥ speedupBasisDim; nil
-// allocates per candidate exactly as Best always did).
-func (s *SpeedupModel) bestWith(f features.Vector, maxN int, buf []float64) (int, float64) {
 	if maxN < 1 {
 		maxN = 1
 	}
+	w := s.Model.Weights
+	if len(w) != speedupBasisDim {
+		panic(fmt.Errorf("expert: speedup model has %d basis features, want %d", len(w), speedupBasisDim))
+	}
+	prefix := s.Model.Bias
+	for i := 0; i < features.Dim; i++ {
+		prefix += w[i] * f[i]
+	}
+	wt, procs, runq := f[features.WorkloadThreads], f[features.Processors], f[features.RunQueueSize]
+	load5, ldst := f[features.CPULoad5], f[features.LoadStoreCount]
 	bestN, bestV := 1, math.Inf(-1)
 	for n := 1; n <= maxN; n++ {
-		var v float64
-		if buf != nil {
-			v = s.Model.MustPredict(SpeedupBasisInto(buf, f, n))
-		} else {
-			v = s.Predict(f, n)
-		}
+		nf := float64(n)
+		v := prefix
+		v += w[features.Dim+0] * nf
+		v += w[features.Dim+1] * (nf * nf)
+		v += w[features.Dim+2] * (nf * wt)
+		v += w[features.Dim+3] * (nf * procs)
+		v += w[features.Dim+4] * (nf * runq)
+		v += w[features.Dim+5] * (nf * load5)
+		v += w[features.Dim+6] * (nf * ldst)
+		v += w[features.Dim+7] * (nf * nf * wt)
 		if v > bestV {
 			bestN, bestV = n, v
 		}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -221,7 +222,15 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 	// touch a family's metrics map outside the registry lock — under -race
 	// this test catches both the Go race detector report and the runtime's
 	// fatal "concurrent map read and map write".
-	reg := NewRegistry()
+	//
+	// Writers cycle their label values through a bounded pool and every
+	// scrape round starts a fresh registry, so map inserts keep landing
+	// around each scrape without the series count growing with the
+	// writers' speed: on a multi-CPU host an unbounded label stream makes
+	// every scrape copy and sort an ever larger series set under the lock.
+	const labelPool = 64
+	var cur atomic.Pointer[Registry]
+	cur.Store(NewRegistry())
 	stop := make(chan struct{})
 	ready := make(chan struct{})
 	var once sync.Once
@@ -230,19 +239,18 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
-			// Register a fresh label set every iteration until told to stop,
-			// so map inserts keep landing while scrapes are mid-walk. Gosched
-			// shares the P with the scraper on single-CPU runners — without
-			// it the scrapes and the inserts never interleave there.
+			// Gosched shares the P with the scraper on single-CPU runners —
+			// without it the scrapes and the inserts never interleave there.
 			for i := w; ; i += 4 {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				reg.Counter("moe_expert_selections_total", "", "expert", strconv.Itoa(i)).Inc()
-				reg.Gauge("g", "", "w", strconv.Itoa(i)).Set(float64(i))
-				reg.Histogram("h", "", nil, "w", strconv.Itoa(i)).Observe(1e-4)
+				reg, label := cur.Load(), strconv.Itoa(i%labelPool)
+				reg.Counter("moe_expert_selections_total", "", "expert", label).Inc()
+				reg.Gauge("g", "", "w", label).Set(float64(i))
+				reg.Histogram("h", "", nil, "w", label).Observe(1e-4)
 				once.Do(func() { close(ready) })
 				runtime.Gosched()
 			}
@@ -250,12 +258,16 @@ func TestConcurrentCreateAndScrape(t *testing.T) {
 	}
 	<-ready
 	for i := 0; i < 50; i++ {
+		reg := NewRegistry()
+		cur.Store(reg)
+		runtime.Gosched()
 		if err := reg.WritePrometheus(io.Discard); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		if err := reg.WriteJSON(io.Discard); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
+		// Inserts into the registry just scraped must follow the scrape.
 		runtime.Gosched()
 	}
 	close(stop)

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,69 @@ func TestPanicQuarantineAndProbation(t *testing.T) {
 	}
 	if trips != 1 {
 		t.Fatalf("breaker trips = %d, want 1", trips)
+	}
+}
+
+// TestWedgedGroupHandsOffCoalescer pins that a batch stuck past its
+// group's deadline stalls only that group: a request queued behind it is
+// taken by a fresh flusher and served as soon as the decision slot frees,
+// not stranded until some later request restarts the coalescer.
+func TestWedgedGroupHandsOffCoalescer(t *testing.T) {
+	gate := &gatePolicy{entered: make(chan struct{}), release: make(chan struct{})}
+	_, ts := newTestServer(t, Config{
+		WedgeTimeout: time.Minute, // keep the watchdog out of it
+		PolicyBuild: func(id string) (moe.Policy, error) {
+			p, err := DefaultPolicyBuild(id)
+			gate.Policy = p
+			return gate, err
+		},
+	})
+	type answer struct {
+		status int
+		resp   *decideResponse
+		eresp  *errorResponse
+	}
+	obs := toWire(tenantStream("handoff", 0, 4))
+	post := func(obs []observation, deadlineMs int) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			body, _ := json.Marshal(decideRequest{Tenant: "handoff", Observations: obs})
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/decide", bytes.NewReader(body))
+			req.Header.Set("X-Deadline-Ms", strconv.Itoa(deadlineMs))
+			var a answer
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				ch <- a
+				return
+			}
+			defer resp.Body.Close()
+			a.status = resp.StatusCode
+			if a.status == http.StatusOK {
+				err = json.NewDecoder(resp.Body).Decode(&a.resp)
+			} else {
+				err = json.NewDecoder(resp.Body).Decode(&a.eresp)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- a
+		}()
+		return ch
+	}
+	stuck := post(obs[:2], 100)
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first request never reached the policy")
+	}
+	queued := post(obs[2:], 5000)
+	if a := <-stuck; a.status != http.StatusGatewayTimeout {
+		t.Fatalf("wedged request: status %d, want 504", a.status)
+	}
+	close(gate.release)
+	if a := <-queued; a.status != http.StatusOK || a.resp.Decisions != 4 {
+		t.Fatalf("request queued behind the wedge: status %d %+v %+v, want 200 with 4 decisions", a.status, a.resp, a.eresp)
 	}
 }
 

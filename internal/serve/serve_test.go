@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,7 +215,46 @@ func TestBreakerLadder(t *testing.T) {
 }
 
 func TestRejectsBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 8})
+	srv, ts := newTestServer(t, Config{MaxBatch: 8})
+	// Every case also runs as an NDJSON line and as a JSON line on a
+	// demoted stream connection: one pipeline, one refusal code.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeStream(ln)
+	demoted, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demoted.Close()
+	demotedDec := json.NewDecoder(bufio.NewReader(demoted))
+	ndjsonCode := func(req decideRequest) string {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/decide", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var line errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&line); err != nil {
+			t.Fatalf("decoding NDJSON line: %v", err)
+		}
+		return line.Code
+	}
+	demotedCode := func(req decideRequest) string {
+		if err := json.NewEncoder(demoted).Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		var line errorResponse
+		if err := demotedDec.Decode(&line); err != nil {
+			t.Fatalf("decoding demoted line: %v", err)
+		}
+		return line.Code
+	}
 	cases := []struct {
 		name   string
 		tenant string
@@ -232,6 +275,64 @@ func TestRejectsBadRequests(t *testing.T) {
 		}
 		if eresp.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, eresp.Code, tc.code)
+		}
+		req := decideRequest{Tenant: tc.tenant, Observations: tc.obs}
+		if code := ndjsonCode(req); code != tc.code {
+			t.Errorf("%s as NDJSON line: code %q, want %q", tc.name, code, tc.code)
+		}
+		if code := demotedCode(req); code != tc.code {
+			t.Errorf("%s on a demoted stream: code %q, want %q", tc.name, code, tc.code)
+		}
+	}
+}
+
+// TestJSONDecisionsCountIsOwn pins that each JSON response reports the
+// decision count right after its own batch, not whatever the tenant has
+// reached by the time the response is written: concurrent two-observation
+// requests to one tenant, sorted by count, must read 2, 4, … exactly.
+func TestJSONDecisionsCountIsOwn(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const workers, perWorker, batch = 8, 40, 2
+	body, err := json.Marshal(decideRequest{Tenant: "own", Observations: toWire(tenantStream("own", 0, batch))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(chan int64, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out decideResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d, decode error %v", resp.StatusCode, err)
+					return
+				}
+				counts <- out.Decisions
+			}
+		}()
+	}
+	wg.Wait()
+	close(counts)
+	var got []int64
+	for c := range counts {
+		got = append(got, c)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if len(got) != workers*perWorker {
+		t.Fatalf("%d responses, want %d", len(got), workers*perWorker)
+	}
+	for i, c := range got {
+		if want := int64((i + 1) * batch); c != want {
+			t.Fatalf("sorted count %d is %d, want %d: a response reported another request's count", i, c, want)
 		}
 	}
 }

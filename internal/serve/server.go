@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -220,11 +219,6 @@ func (s *Server) shed(reason string, status int, msg string, retryAfter time.Dur
 	return &apiError{status: status, code: reason, msg: msg, retryAfter: s.jit.spread(retryAfter)}
 }
 
-func (s *Server) deadline() *apiError {
-	s.metrics.deadlineExceeded.Inc()
-	return &apiError{status: http.StatusGatewayTimeout, code: "deadline-exceeded", msg: "request deadline exceeded"}
-}
-
 // Wire format.
 type decideRequest struct {
 	Tenant       string        `json:"tenant"`
@@ -301,12 +295,12 @@ func (s *Server) requestDeadline(r *http.Request) time.Duration {
 	return d
 }
 
-// handleDecide is the decision endpoint. Admission runs once per HTTP
-// request, in fixed order — drain gate, token bucket (429), slot pool
-// (503) — before any tenant state is touched. The body is either a single
-// JSON request or, with Content-Type application/x-ndjson, a stream of
-// them served in order on one connection (each line gets its own deadline;
-// errors are reported per line and do not end the stream).
+// handleDecide is the decision endpoint. Admission (admit) runs once per
+// HTTP request, before any tenant state is touched. The body is either a
+// single JSON request or, with Content-Type application/x-ndjson, a stream
+// of them served in order on one connection (each line gets its own
+// deadline; errors are reported per line and do not end the stream). Each
+// request joins its tenant's coalescer like any other transport's.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
@@ -319,50 +313,14 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &apiError{status: status, code: "method-not-allowed", msg: "POST required"})
 		return
 	}
-	// Join the in-flight group before reading the drain gate: Drain sets
-	// the gate and then waits on the group, so this order guarantees every
-	// request that passes the gate is flushed (and journaled) before the
-	// final per-tenant snapshots — never half-drained.
-	s.inflight.Add(1)
+	aerr := s.admit(start)
 	defer s.inflight.Done()
-	if s.draining.Load() {
-		e := s.shed("draining", http.StatusServiceUnavailable, "server is draining", time.Second)
-		status = e.status
-		s.writeError(w, e)
+	if aerr != nil {
+		status = aerr.status
+		s.writeError(w, aerr)
 		return
 	}
-	// Role gates: a standby holds replicated lineages but no live runtimes
-	// until promoted; a deposed primary must stop acking decisions the
-	// moment a promoted standby fences it — acks here would fork history.
-	if !s.serving.Load() {
-		e := s.shed("standby", http.StatusServiceUnavailable, "standby; not serving until promoted", time.Second)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if s.primary != nil && s.primary.Deposed() {
-		e := s.shed("deposed", http.StatusServiceUnavailable, "deposed by promoted standby", time.Second)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if ok, retry := s.bucket.take(time.Now()); !ok {
-		e := s.shed("rate", http.StatusTooManyRequests, "request rate over limit", retry)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	if !s.slots.tryAcquire() {
-		e := s.shed("capacity", http.StatusServiceUnavailable, "all decision slots busy", 100*time.Millisecond)
-		status = e.status
-		s.writeError(w, e)
-		return
-	}
-	s.metrics.inflight.Set(float64(s.slots.inUse()))
-	defer func() {
-		s.slots.release()
-		s.metrics.inflight.Set(float64(s.slots.inUse()))
-	}()
+	defer s.releaseSlot()
 
 	deadline := s.requestDeadline(r)
 	// Parse the media type properly: "application/x-ndjson; charset=utf-8"
@@ -381,9 +339,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if req.RequestID == "" {
 		req.RequestID = r.Header.Get("X-Request-Id")
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	resp, aerr := s.serveOne(ctx, &req)
+	resp, aerr := s.serveOne(&req, deadline)
 	if aerr != nil {
 		status = aerr.status
 		s.writeError(w, aerr)
@@ -425,14 +381,8 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	for i := range reqs {
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
-		resp, aerr := s.serveOne(ctx, &reqs[i])
-		cancel()
-		if aerr != nil {
-			enc.Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
-		} else {
-			enc.Encode(resp)
-		}
+		resp, aerr := s.serveOne(&reqs[i], deadline)
+		encodeLine(enc, resp, aerr)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -442,15 +392,11 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 	}
 }
 
-// serveOne validates and serves a single decide request body.
-func (s *Server) serveOne(ctx context.Context, req *decideRequest) (*decideResponse, *apiError) {
-	if len(req.Observations) == 0 {
-		return nil, &apiError{status: 400, code: "bad-request", msg: "no observations"}
-	}
-	if len(req.Observations) > s.cfg.MaxBatch {
-		return nil, &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("batch of %d observations over the %d cap", len(req.Observations), s.cfg.MaxBatch)}
-	}
+// serveOne runs one decoded JSON request — a single body, an NDJSON line or
+// a demoted stream line — through the pipeline and waits for its outcome.
+// The feature-length check belongs to the JSON codec (wire frames carry
+// fixed-width features); everything else is the shared validation in submit.
+func (s *Server) serveOne(req *decideRequest, deadline time.Duration) (*decideResponse, *apiError) {
 	obs := make([]moe.Observation, len(req.Observations))
 	for i := range req.Observations {
 		o, err := req.Observations[i].toObs()
@@ -459,147 +405,22 @@ func (s *Server) serveOne(ctx context.Context, req *decideRequest) (*decideRespo
 		}
 		obs[i] = o
 	}
-	if len(req.RequestID) > maxRequestID {
-		return nil, &apiError{status: 400, code: "bad-request",
-			msg: fmt.Sprintf("request_id of %d bytes over the %d cap", len(req.RequestID), maxRequestID)}
-	}
-	t, aerr := s.tenant(req.Tenant)
-	if aerr != nil {
+	m := &member{reqID: req.RequestID, obs: obs, deadline: time.Now().Add(deadline), done: make(chan struct{})}
+	if aerr := s.submit(req.Tenant, m); aerr != nil {
 		return nil, aerr
 	}
-	res, aerr := s.decideTenant(ctx, t, req.RequestID, obs)
-	if aerr != nil {
+	if aerr := s.wait(m); aerr != nil {
 		return nil, aerr
 	}
-	if res.deduped {
-		return &decideResponse{Tenant: t.id, Threads: res.threads,
-			Decisions: res.decisions, Deduped: true}, nil
-	}
-	t.mu.Lock()
-	served := t.served
-	t.mu.Unlock()
-	return &decideResponse{Tenant: t.id, Threads: res.threads, Decisions: served}, nil
+	return &decideResponse{Tenant: req.Tenant, Threads: m.threads, Decisions: m.decisions, Deduped: m.deduped}, nil
 }
 
-// maxRequestID bounds client request IDs (they are journaled).
-const maxRequestID = 128
-
-// decideResult is what the decide goroutine hands back (or leaves behind,
-// if the handler gave up on it).
-type decideResult struct {
-	threads   []int
-	decisions int64 // runtime's lifetime decision count (survives resume)
-	panicked  string
-	// deposed: the commit flush was refused by a promoted standby. The
-	// decision ran locally but must NOT be acked — an ack here would fork
-	// acked history between the fenced primary and the new one.
-	deposed bool
-	// deduped: answered from the idempotency window; the runtime did not
-	// advance and decisions holds the original ack's count.
-	deduped bool
-}
-
-// decideTenant runs one batch on tenant t: breaker gate, core (re)build,
-// the tenant's single decision slot, then the batch itself — all bounded
-// by ctx.
-func (s *Server) decideTenant(ctx context.Context, t *tenant, reqID string, obs []moe.Observation) (*decideResult, *apiError) {
-	t.mu.Lock()
-	ok, retry := t.brk.admit(time.Now())
-	t.setStateLocked()
-	t.mu.Unlock()
-	if !ok {
-		return nil, s.shed("quarantined", http.StatusServiceUnavailable, "tenant quarantined after fault", retry)
-	}
-	for attempt := 0; ; attempt++ {
-		core, aerr := s.ensureCore(ctx, t)
-		if aerr != nil {
-			return nil, aerr
-		}
-		select {
-		case core.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, s.deadline()
-		}
-		// The generation may have been recycled while we waited on its
-		// slot; serving on it would resurrect an abandoned timeline.
-		t.mu.Lock()
-		stale := t.core != core
-		if !stale {
-			t.busySince = time.Now()
-		}
-		t.mu.Unlock()
-		if stale {
-			<-core.sem
-			if attempt < 2 {
-				continue
-			}
-			return nil, s.shed("recycled", http.StatusServiceUnavailable, "tenant recycling", s.cfg.BreakerBackoff)
-		}
-		// Idempotency check, under the decision slot and after the core (and
-		// with it the journal-recovered window) exists: a request ID we
-		// already acked answers from the window — the runtime must not
-		// advance twice for one logical request, whether the retry hits this
-		// process, a restarted one, or a promoted standby. Holding the slot
-		// serializes the lookup against a concurrent twin's commit.
-		if reqID != "" {
-			t.mu.Lock()
-			hit, ok := t.dedup.lookup(reqID)
-			if ok {
-				t.busySince = time.Time{}
-			}
-			t.mu.Unlock()
-			if ok {
-				<-core.sem
-				s.metrics.dedupHits.Inc()
-				return &decideResult{threads: hit.Threads, decisions: int64(hit.Decisions), deduped: true}, nil
-			}
-		}
-		return s.runDecide(ctx, t, core, reqID, obs)
-	}
-}
-
-// runDecide executes the batch in its own goroutine so the handler can
-// abandon it at the deadline without killing it: the decision keeps
-// running (the watchdog deals with it if it never finishes), bookkeeping
-// happens in finishDecide either way, and the tenant's slot is released
-// only when the batch is truly done.
-func (s *Server) runDecide(ctx context.Context, t *tenant, core *tenantCore, reqID string, obs []moe.Observation) (*decideResult, *apiError) {
-	done := make(chan *decideResult, 1)
-	go func() {
-		res := &decideResult{}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					res.panicked = fmt.Sprint(p)
-					res.threads = nil
-				}
-			}()
-			res.threads = core.rt.DecideBatch(obs)
-			res.decisions = int64(core.rt.Decisions())
-		}()
-		// Commit before the handler is released: the dedup marker must be
-		// journaled behind the batch's own entries, and the replication
-		// group must be flushed, before the client can see the ack.
-		s.commitBatch(t, core, reqID, res)
-		s.finishDecide(t, core, res)
-		done <- res
-		<-core.sem
-	}()
-	select {
-	case res := <-done:
-		if res.panicked != "" {
-			return nil, &apiError{status: http.StatusInternalServerError, code: "tenant-fault",
-				msg: "tenant decision faulted; tenant quarantined", retryAfter: s.jit.spread(s.cfg.BreakerBackoff)}
-		}
-		if res.deposed {
-			return nil, s.shed("deposed", http.StatusServiceUnavailable,
-				"deposed by promoted standby; decision not acknowledged", time.Second)
-		}
-		return res, nil
-	case <-ctx.Done():
-		// The batch may still be running — or wedged. It owns the slot and
-		// the generation until it finishes or the watchdog recycles it.
-		return nil, s.deadline()
+// encodeLine writes one NDJSON answer line: the response, or the refusal.
+func encodeLine(enc *json.Encoder, resp *decideResponse, aerr *apiError) {
+	if aerr != nil {
+		enc.Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
+	} else {
+		enc.Encode(resp)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"moe"
+	"moe/internal/sim"
 	"moe/moeclient"
 )
 
@@ -535,6 +536,93 @@ func TestStreamTelemetrySeries(t *testing.T) {
 		}
 	}
 	c.Close()
+}
+
+// gatePolicy blocks its first Decide until release is closed, closing
+// entered first: a tenant stalled at a moment the test can see.
+type gatePolicy struct {
+	moe.Policy
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatePolicy) Decide(d sim.Decision) int {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Policy.Decide(d)
+}
+
+// TestStreamDeadlineCountedOnce pins that a deadline miss is counted once,
+// by the waiter that answers it. A stalled tenant holds its decision slot
+// while a second group of pipelined frames waits behind it and gives up at
+// its latest deadline; serve_deadline_exceeded_total must equal the
+// deadline answers the client got, not also count the group giving up.
+func TestStreamDeadlineCountedOnce(t *testing.T) {
+	gate := &gatePolicy{entered: make(chan struct{}), release: make(chan struct{})}
+	srv, ts := newTestServer(t, Config{
+		MaxInflight:  64,
+		WedgeTimeout: time.Minute, // keep the watchdog out of it
+		PolicyBuild: func(id string) (moe.Policy, error) {
+			p, err := DefaultPolicyBuild(id)
+			gate.Policy = p
+			return gate, err
+		},
+	})
+	t.Cleanup(func() { close(gate.release) })
+	c := dialStream(t, ts.URL)
+	obs := tenantStream("stall", 0, 2)
+	if err := c.Send(1, 100, "stall", "", obs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first frame never reached the policy")
+	}
+	for _, f := range []struct{ seq, deadlineMs uint64 }{{2, 100}, {3, 300}} {
+		if err := c.Send(f.seq, f.deadlineMs, "stall", "", obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	misses := 0
+	for i := 0; i < 3; i++ {
+		resp, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se, ok := resp.Err.(*moeclient.ServerError); !ok || se.Code != "deadline-exceeded" {
+			t.Fatalf("seq %d: %+v, want deadline-exceeded", resp.Seq, resp)
+		}
+		misses++
+	}
+	// The queued group gives up on the slot at its latest deadline; wait
+	// for its flusher to go idle before reading the counter.
+	srv.tn.mu.RLock()
+	tn := srv.tn.m["stall"]
+	srv.tn.mu.RUnlock()
+	for idle := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		tn.coalMu.Lock()
+		active := tn.coalActive
+		tn.coalMu.Unlock()
+		if !active {
+			break
+		}
+		if time.Now().After(idle) {
+			t.Fatal("coalescer never went idle")
+		}
+	}
+	if got := srv.metrics.deadlineExceeded.Value(); got != int64(misses) {
+		t.Fatalf("serve_deadline_exceeded_total = %d, client got %d deadline answers", got, misses)
+	}
 }
 
 // TestNDJSONContentTypeParams: "application/x-ndjson; charset=utf-8" must

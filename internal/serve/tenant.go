@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -11,7 +10,6 @@ import (
 
 	"moe"
 	"moe/internal/checkpoint"
-	"moe/internal/replica"
 	"moe/internal/telemetry"
 )
 
@@ -56,12 +54,13 @@ type tenant struct {
 	// slow); waiters bail out on their request context.
 	rebuild chan struct{}
 
-	// Streaming coalescer state: admitted frames queue on coalPending and
-	// a single flusher goroutine (alive while coalActive) drains them in
-	// merged DecideBatch groups. Guarded by coalMu, never t.mu — enqueue
-	// must stay cheap and the flusher blocks on the decision slot.
+	// Coalescer state: admitted requests, from every transport, queue on
+	// coalPending and a single flusher goroutine (alive while coalActive)
+	// drains them in merged DecideBatch groups. Guarded by coalMu, never
+	// t.mu — submit must stay cheap and the flusher blocks on the decision
+	// slot.
 	coalMu      sync.Mutex
-	coalPending []*streamReq
+	coalPending []*member
 	coalActive  bool
 
 	// Per-tenant label set. Handles are created once at registration; past
@@ -165,7 +164,7 @@ func (s *Server) ensureCore(ctx context.Context, t *tenant) (*tenantCore, *apiEr
 	select {
 	case t.rebuild <- struct{}{}:
 	case <-ctx.Done():
-		return nil, s.deadline()
+		return nil, errDeadline
 	}
 	defer func() { <-t.rebuild }()
 	t.mu.Lock()
@@ -344,78 +343,9 @@ func (s *Server) boundedResume(t *tenant, rt *moe.Runtime, store *checkpoint.Sto
 	}
 }
 
-// commitBatch runs in the decide goroutine after a successful batch, before
-// the handler is released: the commit point for exactly-once semantics. For
-// an identified request it journals the dedup marker behind the batch's own
-// entries and admits it to the in-memory window; with replication on, it
-// flushes the tenant's shipment group so the standby holds everything this
-// ack promises before the client can see the ack (flush failure is absorbed
-// — semi-synchronous — and surfaces as replica lag, not a client error).
-// It is also where a journal write failure mid-batch latches the tenant
-// degraded: acked decisions are never lost — they live in memory and in the
-// shipped stream — but the local journal has stopped.
-func (s *Server) commitBatch(t *tenant, core *tenantCore, reqID string, res *decideResult) {
-	if res.panicked != "" {
-		return
-	}
-	t.mu.Lock()
-	current := t.core == core
-	t.mu.Unlock()
-	if !current {
-		return
-	}
-	entry := checkpoint.DedupEntry{
-		ID:        reqID,
-		Decisions: int(res.decisions),
-		Threads:   res.threads,
-	}
-	cerr := core.rt.CheckpointErr()
-	if reqID != "" {
-		if core.store != nil && cerr == nil {
-			if err := core.store.AppendDedup(entry); err != nil {
-				s.logf("serve: tenant %s: journal dedup marker: %v", t.id, err)
-				cerr = err
-			}
-		}
-		t.mu.Lock()
-		if t.core == core {
-			t.dedup.add(entry)
-		}
-		t.mu.Unlock()
-	}
-	// With group commit attached, appends deferred their fsync; this Sync is
-	// the commit point that makes the batch (and its marker) durable before
-	// the ack. Without a committer it is a no-op.
-	if core.store != nil && cerr == nil {
-		if err := core.store.Sync(); err != nil {
-			s.logf("serve: tenant %s: group commit sync: %v", t.id, err)
-			cerr = err
-		}
-	}
-	if s.primary != nil {
-		if err := s.primary.Flush(t.id); err != nil {
-			if errors.Is(err, replica.ErrDeposed) {
-				res.deposed = true
-			}
-			s.logf("serve: tenant %s: replication flush: %v", t.id, err)
-		}
-	}
-	if core.store != nil && cerr != nil && checkpoint.IsDiskError(cerr) {
-		t.mu.Lock()
-		latch := t.core == core && t.degraded == ""
-		if latch {
-			t.setDegradedLocked(cerr.Error())
-		}
-		t.mu.Unlock()
-		if latch {
-			s.logf("serve: tenant %s: journal failed mid-batch, serving journal-less: %v", t.id, cerr)
-		}
-	}
-}
-
-// finishDecide runs in the decide goroutine after the batch returned or
-// panicked — whether or not the requesting handler is still waiting (it
-// may have timed out long ago). It is the single place tenant health is
+// finishDecide runs on the flusher after the batch returned or
+// panicked — whether or not any member's waiter is still waiting (it may
+// have timed out long ago). It is the single place tenant health is
 // judged.
 func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
 	t.mu.Lock()

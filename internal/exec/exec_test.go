@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"moe/internal/features"
 	"moe/internal/sim"
@@ -148,7 +149,10 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 	// so an idle process reported phantom load. The floor is calibrated at
 	// construction now; at rest both features must be (near) zero. Slack of
 	// 2 tolerates runtime goroutines that appear between calibration and
-	// sampling.
+	// sampling. Calibrate only once goroutines from earlier tests (or an
+	// earlier -count iteration) have finished exiting, or the floor comes
+	// out too high.
+	settleGoroutines(t)
 	ms := NewMetricSampler()
 	env := ms.Sample(0)
 	if env.WorkloadThreads > 2 {
@@ -162,10 +166,14 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 	// workload and, in excess of the CPUs, as run queue.
 	const extra = 64
 	stop := make(chan struct{})
-	var started sync.WaitGroup
+	var started, exited sync.WaitGroup
 	started.Add(extra)
+	exited.Add(extra)
+	defer exited.Wait()
+	defer close(stop)
 	for i := 0; i < extra; i++ {
 		go func() {
+			defer exited.Done()
 			started.Done()
 			<-stop
 		}()
@@ -182,9 +190,27 @@ func TestMetricSamplerBaselineExcluded(t *testing.T) {
 
 	// The caller's own workers are excluded from f4 on top of the floor.
 	env = ms.Sample(extra)
-	close(stop)
 	if env.WorkloadThreads > 2 {
 		t.Errorf("own workers not excluded: %v", env.WorkloadThreads)
+	}
+}
+
+// settleGoroutines waits until runtime.NumGoroutine has held still for a
+// run of polls, so a sampler calibrated next sees the resting floor.
+func settleGoroutines(t *testing.T) {
+	t.Helper()
+	const stable = 20
+	last, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < stable; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", last)
+		}
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n == last {
+			same++
+		} else {
+			last, same = n, 0
+		}
 	}
 }
 

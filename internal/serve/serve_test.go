@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -393,5 +394,27 @@ func TestNDJSONStreaming(t *testing.T) {
 	want := soloThreads(t, stream)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("NDJSON threads diverge from solo runtime:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestHugeDeadlineCapped pins the deadline cap on both transports: a
+// deadline too large for time.Duration is capped at MaxDeadline, not
+// wrapped into the past and answered 504 on arrival.
+func TestHugeDeadlineCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	obs := tenantStream("huge", 0, 2)
+	status, _, eresp, _ := postDecide(t, ts.URL, "huge", toWire(obs[:1]), 10000000000000)
+	if status != http.StatusOK {
+		t.Errorf("X-Deadline-Ms 1e13: status %d (%+v), want 200", status, eresp)
+	}
+	c := dialStream(t, ts.URL)
+	for _, ms := range []uint64{1 << 63, math.MaxUint64} {
+		resp, err := c.Do(ms&0xff, ms, "huge", "", obs[1:])
+		if err != nil {
+			t.Fatalf("deadline %d ms: %v", ms, err)
+		}
+		if resp.Err != nil {
+			t.Errorf("deadline %d ms: %v, want a decision", ms, resp.Err)
+		}
 	}
 }

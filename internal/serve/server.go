@@ -150,6 +150,8 @@ type serverMetrics struct {
 	recycles         *telemetry.Counter
 	resumeFailures   *telemetry.Counter
 	dedupHits        *telemetry.Counter
+	jsonFast         *telemetry.Counter
+	jsonFallback     *telemetry.Counter
 	tenants          *telemetry.Gauge
 	inflight         *telemetry.Gauge
 	drainSeconds     *telemetry.Gauge
@@ -170,6 +172,8 @@ func (m *serverMetrics) init(reg *telemetry.Registry) {
 	m.recycles = reg.Counter("serve_watchdog_recycles_total", "Wedged tenant generations recycled by the watchdog.")
 	m.resumeFailures = reg.Counter("serve_resume_failures_total", "Checkpoint resumes abandoned (poison or wedged journal replay).")
 	m.dedupHits = reg.Counter("serve_dedup_hits_total", "Requests answered from the idempotency window.")
+	m.jsonFast = reg.Counter("serve_json_decode_total", "JSON decide requests by decoder path.", "path", "fast")
+	m.jsonFallback = reg.Counter("serve_json_decode_total", "JSON decide requests by decoder path.", "path", "fallback")
 	m.tenants = reg.Gauge("serve_tenants", "Registered tenants.")
 	m.inflight = reg.Gauge("serve_inflight", "Decision requests currently holding a slot.")
 	m.drainSeconds = reg.Gauge("serve_drain_seconds", "Duration of the last drain.")
@@ -283,16 +287,28 @@ func (s *Server) writeError(w http.ResponseWriter, e *apiError) {
 // requestDeadline resolves the per-request deadline: X-Deadline-Ms capped
 // by MaxDeadline, DefaultDeadline when absent or unparsable.
 func (s *Server) requestDeadline(r *http.Request) time.Duration {
-	d := s.cfg.DefaultDeadline
+	var ms uint64
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
+		if v, err := strconv.ParseInt(h, 10, 64); err == nil && v > 0 {
+			ms = uint64(v)
 		}
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+	return s.deadline(ms)
+}
+
+// deadline turns a client's deadline in milliseconds (0: none given) into
+// the one the request runs under, capped by MaxDeadline. Every transport
+// resolves its deadline here. The cap applies in milliseconds, before the
+// conversion, so no request can overflow time.Duration into the past.
+func (s *Server) deadline(ms uint64) time.Duration {
+	d := s.cfg.DefaultDeadline
+	if ms > 0 {
+		if ms > uint64(s.cfg.MaxDeadline/time.Millisecond) {
+			return s.cfg.MaxDeadline
+		}
+		d = time.Duration(ms) * time.Millisecond
 	}
-	return d
+	return min(d, s.cfg.MaxDeadline)
 }
 
 // handleDecide is the decision endpoint. Admission (admit) runs once per
@@ -330,14 +346,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.serveNDJSON(w, r, deadline)
 		return
 	}
-	var req decideRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
+	body, rerr := readBody(r.Body, 8<<20)
+	defer releaseBody(body)
+	var req jsonRequest
+	if _, err := s.decodeRequest(body.Bytes(), rerr, &req); err != nil {
 		status = http.StatusBadRequest
 		s.writeError(w, &apiError{status: status, code: "bad-request", msg: "malformed JSON: " + err.Error()})
 		return
 	}
-	if req.RequestID == "" {
-		req.RequestID = r.Header.Get("X-Request-Id")
+	if req.reqID == "" {
+		req.reqID = r.Header.Get("X-Request-Id")
 	}
 	resp, aerr := s.serveOne(&req, deadline)
 	if aerr != nil {
@@ -346,7 +364,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	body.Reset()
+	w.Write(appendDecideResponse(body.AvailableBuffer(), resp))
 }
 
 // serveNDJSON runs a stream of request lines through the decision path in
@@ -356,12 +375,14 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // failures travel in the line objects (code field) instead.
 func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline time.Duration) {
 	const maxLines = 4096
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
-	var reqs []decideRequest
+	body, rerr := readBody(r.Body, 64<<20)
+	defer releaseBody(body)
+	var reqs []jsonRequest
 	var decodeErr, decodeCode string
-	for {
-		var req decideRequest
-		if err := dec.Decode(&req); err != nil {
+	for buf := body.Bytes(); ; {
+		var req jsonRequest
+		n, err := s.decodeRequest(buf, rerr, &req)
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				decodeErr, decodeCode = "malformed NDJSON line: "+err.Error(), "bad-request"
 			}
@@ -375,20 +396,24 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 			decodeCode = "too-many-lines"
 			break
 		}
+		buf = buf[n:]
 		reqs = append(reqs, req)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// Every request is decoded (strings copied out): the body buffer
+	// carries the response lines now.
+	body.Reset()
+	line := body.AvailableBuffer()
 	for i := range reqs {
 		resp, aerr := s.serveOne(&reqs[i], deadline)
-		encodeLine(enc, resp, aerr)
+		line = writeLine(w, line, resp, aerr)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 	if decodeErr != "" {
-		enc.Encode(errorResponse{Error: decodeErr, Code: decodeCode})
+		json.NewEncoder(w).Encode(errorResponse{Error: decodeErr, Code: decodeCode})
 	}
 }
 
@@ -396,32 +421,30 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, deadline ti
 // a demoted stream line — through the pipeline and waits for its outcome.
 // The feature-length check belongs to the JSON codec (wire frames carry
 // fixed-width features); everything else is the shared validation in submit.
-func (s *Server) serveOne(req *decideRequest, deadline time.Duration) (*decideResponse, *apiError) {
-	obs := make([]moe.Observation, len(req.Observations))
-	for i := range req.Observations {
-		o, err := req.Observations[i].toObs()
-		if err != nil {
-			return nil, &apiError{status: 400, code: "bad-request", msg: err.Error()}
-		}
-		obs[i] = o
+func (s *Server) serveOne(req *jsonRequest, deadline time.Duration) (*decideResponse, *apiError) {
+	if req.err != nil {
+		return nil, &apiError{status: 400, code: "bad-request", msg: req.err.Error()}
 	}
-	m := &member{reqID: req.RequestID, obs: obs, deadline: time.Now().Add(deadline), done: make(chan struct{})}
-	if aerr := s.submit(req.Tenant, m); aerr != nil {
+	m := &member{reqID: req.reqID, obs: req.obs, deadline: time.Now().Add(deadline), done: make(chan struct{})}
+	if aerr := s.submit(req.tenant, m); aerr != nil {
 		return nil, aerr
 	}
 	if aerr := s.wait(m); aerr != nil {
 		return nil, aerr
 	}
-	return &decideResponse{Tenant: req.Tenant, Threads: m.threads, Decisions: m.decisions, Deduped: m.deduped}, nil
+	return &decideResponse{Tenant: req.tenant, Threads: m.threads, Decisions: m.decisions, Deduped: m.deduped}, nil
 }
 
-// encodeLine writes one NDJSON answer line: the response, or the refusal.
-func encodeLine(enc *json.Encoder, resp *decideResponse, aerr *apiError) {
+// writeLine writes one NDJSON answer line to w: the response, encoded
+// into scratch (returned for reuse), or the refusal.
+func writeLine(w io.Writer, scratch []byte, resp *decideResponse, aerr *apiError) []byte {
 	if aerr != nil {
-		enc.Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
-	} else {
-		enc.Encode(resp)
+		json.NewEncoder(w).Encode(errorResponse{Error: aerr.msg, Code: aerr.code, RetryAfterMs: aerr.retryAfter.Milliseconds()})
+		return scratch
 	}
+	scratch = appendDecideResponse(scratch[:0], resp)
+	w.Write(scratch)
+	return scratch
 }
 
 // handleTenants lists tenants and their envelope state, sorted by ID.

@@ -281,14 +281,7 @@ func (sess *session) handleDecideFrame(payload []byte, req *wire.Decide) {
 		sess.enqueueError(req.Seq, now, &apiError{status: 400, code: "bad-request", msg: err.Error()})
 		return
 	}
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	slot := newStreamSlot(req.Seq, now, now.Add(deadline))
+	slot := newStreamSlot(req.Seq, now, now.Add(s.deadline(req.DeadlineMs)))
 	if e := s.admit(now); e != nil {
 		slot.m.fail(e)
 	} else {
@@ -357,22 +350,24 @@ func (sess *session) finishSlot(slot *streamSlot) {
 // JSON line, flushed as it goes. EOF ends the session.
 func (s *Server) serveDemoted(br *bufio.Reader, bw *bufio.Writer) {
 	dec := json.NewDecoder(io.LimitReader(br, 64<<20))
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for {
-		var req decideRequest
-		if err := dec.Decode(&req); err != nil {
+		var d decideRequest
+		if err := dec.Decode(&d); err != nil {
 			if !errors.Is(err, io.EOF) {
-				enc.Encode(errorResponse{Error: "malformed JSON line: " + err.Error(), Code: "bad-request"})
+				json.NewEncoder(bw).Encode(errorResponse{Error: "malformed JSON line: " + err.Error(), Code: "bad-request"})
 			}
 			break
 		}
 		aerr := s.admit(time.Now())
 		var resp *decideResponse
 		if aerr == nil {
+			var req jsonRequest
+			req.fromDecoded(&d)
 			resp, aerr = s.serveOne(&req, s.cfg.DefaultDeadline)
 			s.releaseSlot()
 		}
-		encodeLine(enc, resp, aerr)
+		line = writeLine(bw, line, resp, aerr)
 		ferr := bw.Flush()
 		s.inflight.Done()
 		if ferr != nil {

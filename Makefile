@@ -14,14 +14,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench regenerates the committed perf baselines: the engine comparison
-# (BENCH_PR5.json, min-of-3, two-point step-loop derivation) and the decision
-# throughput study (BENCH_PR6.json, single-shot Decide vs DecideBatch vs
-# sharded batch, interleaved-slice paired minima). Commit the results when
-# the engine or the decision hot path changes on purpose.
+# bench regenerates the committed per-study baselines, starting with the
+# engine comparison (BENCH_PR5.json, min-of-3, two-point step-loop
+# derivation). BENCH_PR6.json, the retired decision throughput study, is
+# frozen history; perfbench's embed workload measures decision throughput
+# now. Commit the results when the engine or a studied path changes on
+# purpose.
 bench:
 	$(GO) run ./cmd/moebench -bench-json BENCH_PR5.json
-	$(GO) run ./cmd/moebench -throughput-json BENCH_PR6.json
 	$(GO) run ./cmd/moebench -serve-json BENCH_PR7.json
 	$(GO) run ./cmd/moebench -replica-json BENCH_PR8.json
 	$(GO) run ./cmd/moebench -evolve-json BENCH_PR9.json
@@ -59,9 +59,10 @@ evolve-smoke:
 	$(GO) run ./cmd/moebench -evolve-json /tmp/evolve-smoke.json
 
 # bench-smoke is the CI guard: cheap fixed-iteration runs of the sim
-# stepping-loop, batch decision, single-shot decision (the full ladder, with
-# and without a telemetry sink), and wire codec microbenchmarks that fail
-# if any steady-state loop ever allocates again. Timing is not asserted (CI
+# stepping-loop, batch decision, single-shot decision (the same dispatcher
+# as a batch, so mostly the fast path; with a telemetry sink every decision
+# walks the full ladder), and wire codec microbenchmarks that fail if any
+# steady-state loop ever allocates again. Timing is not asserted (CI
 # machines are too noisy); the allocs/op == 0 invariant is.
 bench-smoke:
 	$(GO) test ./internal/sim -run=NONE -bench 'StepLoop' -benchmem -benchtime=100x -count=2 | tee bench-smoke.txt

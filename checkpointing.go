@@ -6,7 +6,6 @@ import (
 
 	"moe/internal/checkpoint"
 	"moe/internal/sim"
-	"moe/internal/stats"
 )
 
 // Crash safety. A Runtime can persist its full online decision state — the
@@ -50,9 +49,17 @@ func (r *Runtime) Snapshot() (*RuntimeState, error) {
 }
 
 func (r *Runtime) snapshotLocked() (*checkpoint.State, error) {
+	// The capture must see the mixture's canonical histograms.
+	r.flushLocked()
 	ps, err := checkpoint.CapturePolicy(r.policy)
 	if err != nil {
 		return nil, err
+	}
+	hist := make(map[int]int)
+	for n, c := range r.histArr {
+		if c != 0 {
+			hist[n] = int(c)
+		}
 	}
 	return &checkpoint.State{
 		PolicyName: r.policy.Name(),
@@ -62,7 +69,7 @@ func (r *Runtime) snapshotLocked() (*checkpoint.State, error) {
 		Clock:      r.clock,
 		LastAvail:  r.lastAvail,
 		Sanitized:  r.sanitized,
-		Hist:       r.hist.Counts(),
+		Hist:       hist,
 		Policy:     ps,
 	}, nil
 }
@@ -100,8 +107,11 @@ func (r *Runtime) restoreLocked(st *checkpoint.State) error {
 	if math.IsNaN(st.Clock) || math.IsInf(st.Clock, 0) {
 		return fmt.Errorf("moe: non-finite clock in runtime state")
 	}
+	// Decide clamps every decision into [1, maxThreads], so no valid state
+	// has a bin outside it — and accepting one would size the histogram by
+	// whatever the snapshot claims.
 	for n, c := range st.Hist {
-		if n < 1 || c < 0 {
+		if n < 1 || n > r.maxThreads || c < 0 {
 			return fmt.Errorf("moe: invalid histogram entry %d:%d in runtime state", n, c)
 		}
 	}
@@ -115,19 +125,12 @@ func (r *Runtime) restoreLocked(st *checkpoint.State) error {
 	r.clock = st.Clock
 	r.lastAvail = st.LastAvail
 	r.sanitized = st.Sanitized
-	r.hist = stats.NewHistogramFromCounts(st.Hist)
-	// Rebuild the flat mirror behind the histogram read shard and
-	// republish, so accessors see the restored state immediately.
-	r.histArr = make([]int64, r.maxThreads+1)
+	// Rebuild the histogram and republish, so accessors see the restored
+	// state immediately.
+	clear(r.histArr)
 	r.histTotal = 0
 	for n, c := range st.Hist {
-		if c <= 0 {
-			continue
-		}
-		for len(r.histArr) <= n {
-			r.histArr = append(r.histArr, 0)
-		}
-		r.histArr[n] += int64(c)
+		r.histArr[n] = int64(c)
 		r.histTotal += int64(c)
 	}
 	r.publishLocked()
@@ -202,13 +205,13 @@ func (r *Runtime) Resume(store *CheckpointStore) (*CheckpointRecovery, error) {
 		}
 	}
 	for _, o := range rec.Tail {
-		r.decideLocked(Observation{
+		r.decideLocked(&Observation{
 			Time:           o.Time,
 			Features:       o.Features,
 			Rate:           o.Rate,
 			RegionStart:    o.RegionStart,
 			AvailableProcs: o.AvailableProcs,
-		}, nil)
+		}, true)
 	}
 	r.publishLocked()
 	return rec, nil

@@ -516,6 +516,31 @@ func TestRuntimeRestoreRejectsMismatchedCap(t *testing.T) {
 	}
 }
 
+// TestRuntimeRestoreRejectsOutOfRangeBin: every decision is clamped into
+// [1, maxThreads], so a state carrying a thread-histogram bin past the cap
+// is corrupt. Restore must refuse it and leave the runtime unchanged rather
+// than size the histogram by the bin (a bin near 1<<40 would exhaust
+// memory at resume).
+func TestRuntimeRestoreRejectsOutOfRangeBin(t *testing.T) {
+	rt := newCkptRuntime(t, moe.NewOnlinePolicy)
+	for i := 0; i < 5; i++ {
+		rt.Decide(ckptObservation(i))
+	}
+	st, err := rt.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Hist[ckptMaxThreads+1] = 1
+	other := newCkptRuntime(t, moe.NewOnlinePolicy)
+	if err := other.Restore(st); err == nil {
+		t.Fatalf("state with histogram bin %d restored onto a %d-thread runtime", ckptMaxThreads+1, ckptMaxThreads)
+	}
+	if other.Decisions() != 0 || len(other.ThreadHistogram()) != 0 {
+		t.Fatalf("rejected Restore changed the runtime: %d decisions, histogram %v",
+			other.Decisions(), other.ThreadHistogram())
+	}
+}
+
 // TestRuntimeFreshAttachOverOldHistory: attaching a fresh runtime (no
 // Resume) to a directory holding an abandoned run's longer history starts a
 // new timeline. A crash before the first periodic snapshot must resume to

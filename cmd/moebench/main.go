@@ -119,13 +119,6 @@ var registry = map[string]runner{
 	"telemetry": func(l *experiments.Lab, sc experiments.Scale) (*experiments.Table, error) {
 		return l.TelemetryStudy(sc)
 	},
-	"throughput": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
-		rep, err := runThroughput()
-		if err != nil {
-			return nil, err
-		}
-		return throughputTable(rep), nil
-	},
 	"serve": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
 		rep, err := runServe(defaultServeOpts())
 		if err != nil {
@@ -162,7 +155,7 @@ var order = []string{
 	"fig10", "fig11", "fig12", "fig13a", "fig13b", "fig14a", "fig14b",
 	"fig14c", "fig15a", "fig15b", "fig15c", "fig16", "fig17", "cv",
 	"ablation-gating", "ablation-features", "portability", "churn",
-	"chaos", "restart", "telemetry", "throughput", "serve", "stream",
+	"chaos", "restart", "telemetry", "serve", "stream",
 	"replica", "evolve",
 }
 
@@ -177,7 +170,6 @@ func main() {
 	chaosFlag := flag.Bool("chaos", false, "shorthand for -experiment chaos (fault-injection robustness study)")
 	stepping := flag.String("stepping", "event", "simulation engine: event (event-horizon) or fixed (dt-by-dt reference); observables agree within 1e-9")
 	benchJSON := flag.String("bench-json", "", "measure both engines on the canonical scenario, write the JSON report to this path, and exit")
-	throughputJSON := flag.String("throughput-json", "", "measure decision throughput (single vs batched vs sharded), write the JSON report to this path, and exit")
 	serveJSON := flag.String("serve-json", "", "run the multi-tenant daemon chaos-load study, write the JSON report to this path, and exit")
 	streamJSON := flag.String("stream-json", "", "run the transport study (json vs ndjson vs wire, plus journal group commit), write the JSON report to this path, and exit")
 	streamDrive := flag.String("stream-drive", "", "client mode: stream -stream-decisions across -stream-tenants wire sessions against this moed base URL, print a JSON summary, and exit")
@@ -203,15 +195,6 @@ func main() {
 	if *benchJSON != "" {
 		if err := writeBenchJSON(*benchJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "moebench: bench: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *throughputJSON != "" {
-		if err := writeThroughputJSON(*throughputJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: throughput: %v\n", err)
 			stopCPU()
 			os.Exit(1)
 		}
@@ -263,9 +246,9 @@ func main() {
 		return
 	}
 
-	// The throughput, serve, stream, and evolve studies need no trained lab;
-	// serve them before the training step when one is the only request.
-	if !*all && (*experiment == "throughput" || *experiment == "serve" || *experiment == "stream" || *experiment == "evolve") && !*list {
+	// The serve, stream, and evolve studies need no trained lab; serve them
+	// before the training step when one is the only request.
+	if !*all && (*experiment == "serve" || *experiment == "stream" || *experiment == "evolve") && !*list {
 		t, err := registry[*experiment](nil, experiments.QuickScale())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "moebench: %s failed: %v\n", *experiment, err)

@@ -89,8 +89,13 @@ type serveReport struct {
 	Notes []string `json:"notes"`
 }
 
-// serveObservation mirrors the throughput study's steady stream, perturbed
-// per tenant, expressed in wire form.
+// throughputMaxThreads is the machine cap of every daemon study's tenants
+// (serve, stream and replica).
+const throughputMaxThreads = 32
+
+// serveObservation is a steady stream — clean features, constant
+// availability, monotone clock — perturbed per tenant, expressed in wire
+// form.
 func serveObservation(seed, k int) map[string]any {
 	f := make([]float64, features.Dim)
 	for j := range f {

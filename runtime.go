@@ -19,6 +19,12 @@ import (
 // use. Any Policy can drive it — the mixture, a single expert, or one of
 // the baselines — making runtimes directly comparable.
 //
+// Every decision takes one path: Decide, DecideBatch and Resume's journal
+// replay all run the same gate, regime dispatch and commit tail per
+// observation (see runtime_batch.go). Decide is a batch of one, so the
+// runtime — not the caller — picks between the mixture's healthy-regime
+// fast path and the policy's full ladder.
+//
 // Concurrency guarantees: a Runtime is safe for concurrent use from any
 // number of goroutines. Decide and DecideBatch serialize on one internal
 // writer lock — decisions must serialize anyway because every policy in
@@ -42,7 +48,6 @@ type Runtime struct {
 	name       string // policy.Name(), cached: Policy names are constant
 	maxThreads int
 	decisions  int
-	hist       *stats.Histogram
 	lastN      int
 	clock      float64
 	lastAvail  int
@@ -55,24 +60,24 @@ type Runtime struct {
 	// read can neither block a decision in flight nor deadlock against one.
 	counters  counterShard
 	histShard histShard
-	// histArr mirrors hist's bin counts as a flat array (index = thread
-	// count) so republishing the histogram shard is a copy, not a map walk,
-	// and the batch fast path can defer increments allocation-free.
+	// histArr is the thread histogram: bin counts indexed by thread count,
+	// sized maxThreads+1 once at construction (every decision is clamped
+	// into [1, maxThreads], and Restore rejects bins outside it), so
+	// recording a decision and republishing the shard never allocate.
 	histArr   []int64
 	histTotal int64
 
-	// Batching (see runtime_batch.go): mix is the wrapped policy when it is
+	// Dispatch (see runtime_batch.go): mix is the wrapped policy when it is
 	// the mixture itself — the precondition for the healthy-regime fast
 	// path (a wrapping policy, e.g. a chaos injector, must see every
-	// decision, so wrapped mixtures always take the full path). histDeferred
-	// accumulates thread-histogram increments during a batch; batches/
-	// batchFast/batchFull count dispatcher outcomes.
-	mix          *Mixture
-	histDeferred []int
-	batches      int
-	batchFast    int
-	batchFull    int
-	batchSink    telemetry.BatchSink
+	// decision, so wrapped mixtures always take the full path). fast and
+	// full count every decision by the path that served it; batches counts
+	// DecideBatch calls.
+	mix       *Mixture
+	batches   int
+	fast      int
+	full      int
+	batchSink telemetry.BatchSink
 	// batchRec is the per-batch telemetry record reused across batches,
 	// like scratch below.
 	batchRec telemetry.BatchRecord
@@ -118,8 +123,8 @@ type counterShard struct {
 	clock     float64
 	ckptErr   error
 	batches   int
-	batchFast int
-	batchFull int
+	fast      int
+	full      int
 }
 
 // histShard is the histogram half of the read path: flat bin counts plus
@@ -144,35 +149,33 @@ func NewRuntime(p Policy, maxThreads int) (*Runtime, error) {
 		return nil, fmt.Errorf("moe: maxThreads must be at least 1, got %d", maxThreads)
 	}
 	r := &Runtime{
-		policy:       p,
-		name:         p.Name(),
-		maxThreads:   maxThreads,
-		hist:         stats.NewHistogram(),
-		lastN:        1,
-		histArr:      make([]int64, maxThreads+1),
-		histDeferred: make([]int, maxThreads+1),
+		policy:     p,
+		name:       p.Name(),
+		maxThreads: maxThreads,
+		lastN:      1,
+		histArr:    make([]int64, maxThreads+1),
 	}
+	r.histShard.counts = make([]int64, maxThreads+1)
 	r.mix, _ = p.(*Mixture)
 	r.publishLocked()
 	return r, nil
 }
 
-// histAdd records c decisions of n threads in both histogram forms. The
-// flat mirror grows past maxThreads only when a restored state carries
-// out-of-range bins (Restore accepts them; Decide never produces them).
-func (r *Runtime) histAdd(n, c int) {
-	r.hist.AddN(n, c)
-	for len(r.histArr) <= n {
-		r.histArr = append(r.histArr, 0)
+// flushLocked folds the mixture's deferred fast-path histogram counts into
+// its canonical histograms. Every publish and every snapshot runs it first,
+// so neither a reader nor a checkpoint can observe the deferred state.
+func (r *Runtime) flushLocked() {
+	if r.mix != nil {
+		r.mix.FlushFast()
 	}
-	r.histArr[n] += int64(c)
-	r.histTotal += int64(c)
 }
 
-// publishLocked republishes the read shards from the authoritative state.
-// Callers hold mu (or, in NewRuntime, exclusive ownership); the shard locks
-// bound how long a reader can stall a publish to one copy.
+// publishLocked flushes the deferred counts and republishes the read shards
+// from the authoritative state. Callers hold mu (or, in NewRuntime,
+// exclusive ownership); the shard locks bound how long a reader can stall a
+// publish to one copy.
 func (r *Runtime) publishLocked() {
+	r.flushLocked()
 	c := &r.counters
 	c.mu.Lock()
 	c.decisions = r.decisions
@@ -182,15 +185,12 @@ func (r *Runtime) publishLocked() {
 	c.clock = r.clock
 	c.ckptErr = r.ckptErr
 	c.batches = r.batches
-	c.batchFast = r.batchFast
-	c.batchFull = r.batchFull
+	c.fast = r.fast
+	c.full = r.full
 	c.mu.Unlock()
 
 	h := &r.histShard
 	h.mu.Lock()
-	if len(h.counts) < len(r.histArr) {
-		h.counts = append(h.counts, make([]int64, len(r.histArr)-len(h.counts))...)
-	}
 	copy(h.counts, r.histArr)
 	h.total = r.histTotal
 	h.mu.Unlock()
@@ -220,25 +220,33 @@ type Observation struct {
 // the f5 feature, then the last availability any prior observation
 // established, and only then the machine cap. Whatever the host reports,
 // the result is always in [1, maxThreads] and Decide never panics.
+//
+// Decide is a batch of one: it serves the observation through the same
+// per-observation path as DecideBatch (see runtime_batch.go), so a steady
+// stream is served by the healthy-regime fast path whichever call carries it.
 func (r *Runtime) Decide(obs Observation) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.decideFullLocked(obs)
+	n := r.decideLocked(&obs, false)
 	r.publishLocked()
 	return n
 }
 
-// decideFullLocked is the complete single-decision path — journaling,
-// sanitization ladder, policy, snapshot cadence, telemetry — under mu. It
-// does not republish the read shards; Decide and DecideBatch do that once
-// per call.
-func (r *Runtime) decideFullLocked(obs Observation) int {
+// decideLocked is the runtime's one decision path, under mu: Decide,
+// DecideBatch and Resume's journal replay all serve every observation
+// through it. In order it journals the raw observation, gates it, serves it
+// by regime (FastPlan/FastCommit on the healthy regime, the policy's full
+// Decide otherwise), records the decision, keeps the snapshot cadence and
+// emits the telemetry record. A replay journals nothing (Resume runs with
+// no store attached) and emits no telemetry. decideLocked does not
+// republish the read shards; its callers do that once per call.
+func (r *Runtime) decideLocked(o *Observation, replay bool) int {
 	// Telemetry observes and never steers: rec only collects what the
 	// decision path computes anyway, so the chosen n is bit-identical with
 	// or without a sink (pinned by the byte-identity tests).
 	var rec *telemetry.Record
 	var start time.Duration
-	if r.sink != nil {
+	if r.sink != nil && !replay {
 		start = time.Since(monoBase)
 		rec = &r.scratch
 		*rec = telemetry.Record{
@@ -249,22 +257,23 @@ func (r *Runtime) decideFullLocked(obs Observation) int {
 			GatingErrors:   rec.GatingErrors[:0],
 			HealthEvents:   rec.HealthEvents[:0],
 		}
-		rec.RawFeatures = append(rec.RawFeatures, obs.Features[:]...)
+		rec.RawFeatures = append(rec.RawFeatures, o.Features[:]...)
 	}
 	if r.store != nil && r.ckptErr == nil {
 		// Write-ahead: journal the observation exactly as the host reported
-		// it, before sanitization, so replaying the journal through this
-		// same method reproduces the decision bit-identically.
+		// it, before the gate, so replaying the journal through this same
+		// method reproduces the decision bit-identically. An append failure
+		// latches, and the decision is still served from memory.
 		var jStart time.Duration
 		if rec != nil {
 			jStart = time.Since(monoBase)
 		}
 		if err := r.store.Append(checkpoint.Observation{
-			Time:           obs.Time,
-			Features:       obs.Features,
-			Rate:           obs.Rate,
-			RegionStart:    obs.RegionStart,
-			AvailableProcs: obs.AvailableProcs,
+			Time:           o.Time,
+			Features:       o.Features,
+			Rate:           o.Rate,
+			RegionStart:    o.RegionStart,
+			AvailableProcs: o.AvailableProcs,
 		}); err != nil {
 			r.ckptErr = err
 		}
@@ -272,7 +281,21 @@ func (r *Runtime) decideFullLocked(obs Observation) int {
 			rec.JournalNanos = (time.Since(monoBase) - jStart).Nanoseconds()
 		}
 	}
-	n := r.decideLocked(obs, rec)
+	var d sim.Decision
+	repaired, clean := r.gateLocked(o, &d)
+	var n int
+	if clean && r.mix != nil && r.sink == nil && r.ckptErr == nil && r.mix.FastPlan(&d) {
+		n = r.mix.FastCommit(&d)
+		r.fast++
+	} else {
+		n = r.policy.Decide(d)
+		r.full++
+	}
+	n = stats.ClampInt(n, 1, r.maxThreads)
+	r.lastN = n
+	r.decisions++
+	r.histArr[n]++
+	r.histTotal++
 	if r.store != nil && r.ckptErr == nil && r.checkpointEvery > 0 && r.decisions%r.checkpointEvery == 0 {
 		var sStart time.Duration
 		if rec != nil {
@@ -288,6 +311,10 @@ func (r *Runtime) decideFullLocked(obs Observation) int {
 		}
 	}
 	if rec != nil {
+		rec.Time = d.Time
+		rec.Features = append(rec.Features, d.Features[:]...)
+		rec.RuntimeRepaired = repaired
+		rec.AvailableProcs = d.AvailableProcs
 		rec.Threads = n
 		if r.ckptErr != nil {
 			rec.CheckpointErr = r.ckptErr.Error()
@@ -301,16 +328,29 @@ func (r *Runtime) decideFullLocked(obs Observation) int {
 	return n
 }
 
-func (r *Runtime) decideLocked(obs Observation, rec *telemetry.Record) int {
-	f, repaired := features.Sanitize(obs.Features)
-	obs.Features = f
-	r.sanitized += repaired
-	if math.IsNaN(obs.Rate) || math.IsInf(obs.Rate, 0) || obs.Rate < 0 {
-		obs.Rate = 0
+// gateLocked is the runtime's one input gate: it fills d, the decision the
+// policy sees, from o. It sanitizes the features, treats a non-finite or
+// negative rate as unknown, resolves availability through its fallback
+// chain and repairs a non-finite or regressed timestamp, advancing the
+// runtime's sanitized count, availability and clock. It returns how many
+// feature components it repaired and whether the observation arrived
+// clean: no feature and no timestamp needed repair. Only a clean
+// observation may take the fast path; repairs are the full ladder's
+// business.
+func (r *Runtime) gateLocked(o *Observation, d *sim.Decision) (repaired int, clean bool) {
+	d.Features = o.Features
+	f := &d.Features
+	if !features.Clean(f) {
+		*f, repaired = features.Sanitize(*f)
+		r.sanitized += repaired
 	}
-	avail := obs.AvailableProcs
+	rate := o.Rate
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		rate = 0
+	}
+	avail := o.AvailableProcs
 	if avail <= 0 {
-		avail = int(obs.Features[features.Processors])
+		avail = int(f[features.Processors])
 	}
 	if avail <= 0 {
 		// No availability in this observation: carry the last known-good
@@ -325,31 +365,21 @@ func (r *Runtime) decideLocked(obs Observation, rec *telemetry.Record) int {
 		avail = r.maxThreads
 	}
 	r.lastAvail = avail
-	if math.IsNaN(obs.Time) || math.IsInf(obs.Time, 0) || obs.Time < r.clock {
-		obs.Time = r.clock
+	tm := o.Time
+	clean = repaired == 0
+	if math.IsNaN(tm) || math.IsInf(tm, 0) || tm < r.clock {
+		tm = r.clock
+		clean = false
 	}
-	r.clock = obs.Time
-	n := r.policy.Decide(sim.Decision{
-		Time:           obs.Time,
-		Features:       obs.Features,
-		Rate:           obs.Rate,
-		CurrentThreads: r.lastN,
-		MaxThreads:     r.maxThreads,
-		AvailableProcs: avail,
-		RegionStart:    obs.RegionStart,
-		RegionIndex:    r.decisions,
-	})
-	n = stats.ClampInt(n, 1, r.maxThreads)
-	r.lastN = n
-	r.decisions++
-	r.histAdd(n, 1)
-	if rec != nil {
-		rec.Time = obs.Time
-		rec.Features = append(rec.Features, obs.Features[:]...)
-		rec.RuntimeRepaired = repaired
-		rec.AvailableProcs = avail
-	}
-	return n
+	r.clock = tm
+	d.Time = tm
+	d.Rate = rate
+	d.CurrentThreads = r.lastN
+	d.MaxThreads = r.maxThreads
+	d.AvailableProcs = avail
+	d.RegionStart = o.RegionStart
+	d.RegionIndex = r.decisions
+	return repaired, clean
 }
 
 // Unwrapper is the convention for policies that wrap another policy (the
@@ -421,15 +451,6 @@ func (r *Runtime) ThreadHistogram() map[int]float64 {
 		}
 	}
 	return out
-}
-
-// histCounts returns a copy of the published flat histogram bins and their
-// total, for merged views (ShardedRuntime.ThreadHistogram).
-func (r *Runtime) histCounts() ([]int64, int64) {
-	h := &r.histShard
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return append([]int64(nil), h.counts...), h.total
 }
 
 // MixtureStatsSnapshot returns the mixture analysis snapshot when the

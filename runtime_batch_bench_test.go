@@ -1,7 +1,6 @@
 package moe_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"moe"
@@ -80,33 +79,4 @@ func sizeName(size int) string {
 	default:
 		return "size-64"
 	}
-}
-
-// BenchmarkDecideBatchParallel drives a sharded runtime from parallel
-// goroutines, each pinned to its own shard key with its own stream and
-// destination buffer. On a multi-core host throughput scales with shard
-// count because shards share no locks; b.SetBytes-style aggregate
-// decisions/sec comes from cmd/moebench -experiment throughput.
-func BenchmarkDecideBatchParallel(b *testing.B) {
-	const shards, size = 4, 64
-	srt, err := moe.NewShardedRuntime(shards, ckptMaxThreads, func(int) (moe.Policy, error) {
-		return moe.NewMixture(moe.CanonicalExperts())
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var nextKey atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		key := nextKey.Add(1) - 1
-		obs := benchBatch(size)
-		step := 0
-		var dst []int
-		for pb.Next() {
-			retime(obs, &step)
-			dst = srt.DecideBatchInto(key, dst[:0], obs)
-		}
-		_ = dst
-	})
 }

@@ -15,8 +15,9 @@ import (
 // fast path. The test derives ground truth from an instrumented reference
 // run (telemetry observes and never steers, so the reference decisions are
 // the silent ones), then replays the identical stream through the batch
-// dispatcher one observation per batch, reading the fast/full counters
-// after each.
+// dispatcher twice — one observation per DecideBatch call, and one
+// single-shot Decide call per observation — reading the fast/full counters
+// after each. Decide is a batch of one, so both columns obey the same rule.
 //
 // Demotion is allowed to be conservative (the plan may fail on decisions
 // the ladder would have let through — e.g. a repaired timestamp, which the
@@ -103,6 +104,25 @@ func TestDecideBatchChaosDemotions(t *testing.T) {
 					t.Fatalf("decision %d diverged under %s: %d vs %d", i, kind, got[0], want[i])
 				}
 				servedFast[i] = rt.BatchStats().FastDecisions > before
+			}
+
+			// Single-shot column: the same stream through Decide.
+			single, err := moe.NewRuntime(canonicalMixture(t), ckptMaxThreads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range obs {
+				before := single.BatchStats().FastDecisions
+				if got := single.Decide(o); got != want[i] {
+					t.Fatalf("single-shot decision %d diverged under %s: %d vs %d", i, kind, got, want[i])
+				}
+				fast := single.BatchStats().FastDecisions > before
+				if cap.engaged[i] && fast {
+					t.Errorf("decision %d: ladder engaged on the reference but single-shot Decide served it fast", i)
+				}
+				if fast != servedFast[i] {
+					t.Errorf("decision %d: single-shot fast=%v, batch of one fast=%v", i, fast, servedFast[i])
+				}
 			}
 
 			demoted := 0

@@ -102,6 +102,57 @@ func TestDecideBatchConcurrentAccessors(t *testing.T) {
 	}
 }
 
+// TestDecideConcurrentAccessors is the single-shot twin: several
+// goroutines call Decide on one runtime at once — each call a batch of one,
+// so the fast path runs under concurrent callers — while readers storm the
+// accessors. The stream holds its timestamp constant, so however the
+// callers interleave, no decision needs a clock repair.
+func TestDecideConcurrentAccessors(t *testing.T) {
+	const callers, each = 4, 120
+	rt, err := moe.NewRuntime(canonicalMixture(t), ckptMaxThreads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Bool
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := 0
+			for !done.Load() {
+				assertCoherentReads(t, rt, &last)
+			}
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		writers.Add(1)
+		go func(c int) {
+			defer writers.Done()
+			for i := 0; i < each; i++ {
+				o := steadyObservation(c*each + i)
+				o.Time = 0
+				if n := rt.Decide(o); n < 1 || n > ckptMaxThreads {
+					t.Errorf("Decide returned %d threads", n)
+				}
+			}
+		}(c)
+	}
+	writers.Wait()
+	done.Store(true)
+	readers.Wait()
+	bs := rt.BatchStats()
+	if rt.Decisions() != callers*each || bs.FastDecisions+bs.FullDecisions != callers*each {
+		t.Fatalf("decisions = %d, stats %+v; want %d", rt.Decisions(), bs, callers*each)
+	}
+	if bs.Batches != 0 {
+		t.Fatalf("batches = %d after single-shot decisions only", bs.Batches)
+	}
+	if bs.FastDecisions == 0 {
+		t.Fatal("fast path never ran — the race coverage is vacuous")
+	}
+}
+
 // TestDecideBatchWriterReaderTorture flips expert health mid-batch (the
 // wild-expert pool quarantines, probations and re-quarantines continuously)
 // while readers hammer accessors AND the serializing introspectors
@@ -151,63 +202,6 @@ func TestDecideBatchWriterReaderTorture(t *testing.T) {
 	st, _ := rt.MixtureStatsSnapshot()
 	if st.QuarantineCount[1] == 0 {
 		t.Fatal("wild expert never quarantined — the torture never flipped health")
-	}
-}
-
-// TestShardedRuntimeConcurrent drives every shard from its own goroutines
-// and checks the merged accessors.
-func TestShardedRuntimeConcurrent(t *testing.T) {
-	const shards, workers, batches, size = 4, 8, 30, 16
-	srt, err := moe.NewShardedRuntime(shards, ckptMaxThreads, func(int) (moe.Policy, error) {
-		m, err := moe.NewMixture(moe.CanonicalExperts())
-		return m, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srt.Shards() != shards {
-		t.Fatalf("shards = %d, want %d", srt.Shards(), shards)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(key uint64) {
-			defer wg.Done()
-			var dst []int
-			for i := 0; i < batches; i++ {
-				obs := make([]moe.Observation, size)
-				for j := range obs {
-					obs[j] = steadyObservation(i*size + j)
-				}
-				dst = srt.DecideBatchInto(key, dst[:0], obs)
-				srt.Decisions()
-				srt.ThreadHistogram()
-				srt.BatchStats()
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	if got, want := srt.Decisions(), workers*batches*size; got != want {
-		t.Fatalf("merged decisions = %d, want %d", got, want)
-	}
-	bs := srt.BatchStats()
-	if bs.Batches != workers*batches || bs.FastDecisions+bs.FullDecisions != workers*batches*size {
-		t.Fatalf("merged batch stats %+v don't cover the run", bs)
-	}
-	sum := 0.0
-	for _, frac := range srt.ThreadHistogram() {
-		sum += frac
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("merged histogram fractions sum to %v", sum)
-	}
-	// Per-shard inspection works and sums to the merge.
-	perShard := 0
-	for i := 0; i < shards; i++ {
-		perShard += srt.Shard(i).Decisions()
-	}
-	if perShard != workers*batches*size {
-		t.Fatalf("per-shard decisions sum to %d", perShard)
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 // one observation at a time and through DecideBatch at several batch sizes,
 // and everything observable — the decision sequence, the runtime counters,
 // the thread histogram, the mixture's full analysis snapshot — must be
-// byte-identical. The batch fast path is only allowed to be faster, never
-// different.
+// byte-identical. Decide and DecideBatch share one dispatcher, so the
+// single-shot run is in turn pinned to a ladder run whose wrapped policy
+// keeps every decision off the fast path. The fast path is only allowed to
+// be faster, never different.
 
 // batchSizes are the chunkings every scenario is replayed at.
 var batchSizes = []int{1, 2, 7, 64}
@@ -192,6 +194,31 @@ func batchScenarios(t testing.TB) map[string]batchScenario {
 	}
 }
 
+// ladderPolicy wraps a policy so the runtime never sees the bare mixture:
+// every decision then walks the policy's full Decide ladder. Unwrap keeps
+// the mixture visible to MixtureStatsSnapshot.
+type ladderPolicy struct{ moe.Policy }
+
+func (p ladderPolicy) Unwrap() moe.Policy { return p.Policy }
+
+// assertSameRun fails unless two runtimes made the same decisions and
+// expose identical state.
+func assertSameRun(t testing.TB, label string, got, want []int, rt, ref *moe.Runtime) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: decision %d diverged: %d vs %d", label, i, got[i], want[i])
+		}
+	}
+	if g, w := runtimeFingerprint(rt), runtimeFingerprint(ref); g != w {
+		t.Fatalf("%s: runtime state diverged:\n got %s\nwant %s", label, g, w)
+	}
+	if !histogramsEqual(rt.ThreadHistogram(), ref.ThreadHistogram()) {
+		t.Fatalf("%s: thread histograms diverged:\n got %v\nwant %v",
+			label, rt.ThreadHistogram(), ref.ThreadHistogram())
+	}
+}
+
 // runSingle replays obs through Decide one at a time.
 func runSingle(t testing.TB, p moe.Policy, obs []moe.Observation) ([]int, *moe.Runtime) {
 	t.Helper()
@@ -255,6 +282,11 @@ func TestDecideBatchEquivalence(t *testing.T) {
 	for name, sc := range batchScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			want, ref := runSingle(t, sc.build(t), sc.obs)
+			ladder, lref := runSingle(t, ladderPolicy{sc.build(t)}, sc.obs)
+			assertSameRun(t, "single vs ladder", want, ladder, ref, lref)
+			if lref.BatchStats().FastDecisions != 0 {
+				t.Fatal("the ladder reference took the fast path")
+			}
 			for _, size := range batchSizes {
 				got, rt := runBatched(t, sc.build(t), sc.obs, size)
 				for i := range want {
@@ -299,6 +331,26 @@ func TestDecideBatchStaysFast(t *testing.T) {
 	}
 	if bs.Batches != 3 {
 		t.Fatalf("batches = %d, want 3", bs.Batches)
+	}
+}
+
+// TestDecideStaysFast is TestDecideBatchStaysFast for single-shot callers:
+// Decide is a batch of one, so a steady stream fed through Decide alone is
+// served by the fast path after the cold first decision, and no Decide call
+// counts as a batch.
+func TestDecideStaysFast(t *testing.T) {
+	obs := make([]moe.Observation, 192)
+	for i := range obs {
+		obs[i] = steadyObservation(i)
+	}
+	_, rt := runSingle(t, canonicalMixture(t), obs)
+	bs := rt.BatchStats()
+	if bs.FastDecisions != len(obs)-1 || bs.FullDecisions != 1 {
+		t.Fatalf("steady single-shot stream: %d fast, %d full (want %d fast, only the cold first full)",
+			bs.FastDecisions, bs.FullDecisions, len(obs)-1)
+	}
+	if bs.Batches != 0 {
+		t.Fatalf("batches = %d after single-shot decisions only, want 0", bs.Batches)
 	}
 }
 
@@ -498,6 +550,8 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 			obs[i] = o
 		}
 		want, ref := runSingle(t, canonicalMixture(t), obs)
+		ladder, lref := runSingle(t, ladderPolicy{canonicalMixture(t)}, obs)
+		assertSameRun(t, "single vs ladder", want, ladder, ref, lref)
 		got, rt := runBatched(t, canonicalMixture(t), obs, size)
 		for i := range want {
 			if got[i] != want[i] {

@@ -272,8 +272,12 @@ func benchRuntime(b *testing.B) *moe.Runtime {
 	return rt
 }
 
-// BenchmarkDecide measures the uninstrumented hot path; its instrumented
-// twin below bounds the telemetry overhead (the acceptance bar is ≤10%).
+// BenchmarkDecide measures uninstrumented single-shot Decide. Decide is a
+// batch of one, so the steady stretches of the stream take the fast path
+// and only the decisions the dispatcher demotes (the clock regressing as i
+// wraps, say) walk the full ladder. Its instrumented twin below walks the
+// full ladder on every decision — a sink rules the fast path out — and
+// bounds the telemetry overhead (the acceptance bar is ≤10%).
 func BenchmarkDecide(b *testing.B) {
 	rt := benchRuntime(b)
 	b.ReportAllocs()

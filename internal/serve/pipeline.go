@@ -29,32 +29,43 @@ import (
 // its codec encodes the outcome.
 
 // member is one admitted decide request on its way through a tenant's
-// coalescer. The group function writes the outcome and closes done exactly
-// once; the waiter reads the outcome only after done, or gives up at the
-// deadline and never looks at it again.
+// coalescer. The group function writes the outcome and then sends exactly
+// one token on done; the waiter reads the outcome only after taking it, or
+// gives up at the deadline and never looks at the member again.
+//
+// A member is reusable (a stream session recycles its slots) only once its
+// waiter has taken the token: the group is then done with it. A member
+// whose waiter walked away at its deadline is never reused, since the group
+// may still fill it late; the garbage collector takes it.
 type member struct {
 	reqID    string
-	obs      []moe.Observation
+	obs      []moe.Observation // the member's own storage; the group reads it
 	deadline time.Time
-	done     chan struct{}
+	done     chan struct{} // cap 1: the group's one token
 
-	// The outcome: err, or the member's own slice of the merged batch and
-	// the tenant's decision count right after it (deduped: the original
-	// ack, answered from the idempotency window).
+	// The outcome: err, or the member's own copy of its slice of the merged
+	// batch and the tenant's decision count right after it (deduped: the
+	// original ack, answered from the idempotency window).
 	err       *apiError
 	threads   []int
 	decisions int64
 	deduped   bool
 }
 
+// reset readies a member whose token was taken for its next request,
+// keeping its storage.
+func (m *member) reset(deadline time.Time) {
+	*m = member{obs: m.obs[:0], deadline: deadline, done: m.done, threads: m.threads[:0]}
+}
+
 func (m *member) fail(e *apiError) {
 	m.err = e
-	close(m.done)
+	m.done <- struct{}{}
 }
 
 func (m *member) answerDedup(hit checkpoint.DedupEntry) {
 	m.threads, m.decisions, m.deduped = hit.Threads, int64(hit.Decisions), true
-	close(m.done)
+	m.done <- struct{}{}
 }
 
 func failAll(ms []*member, e *apiError) {
@@ -134,72 +145,184 @@ func (s *Server) submit(tenantID string, m *member) *apiError {
 	t.coalActive = true
 	t.coalMu.Unlock()
 	if spawn {
-		go s.flusher(t)
+		go t.flush()
 	}
 	return nil
 }
 
 // wait blocks until m is filled or its deadline passes and returns the
-// refusal to answer with (nil: m holds a result). The waiter is the only
-// place a deadline miss is counted — once per answer that reports one,
-// whether its own timer fired or the group gave up first.
-func (s *Server) wait(m *member) *apiError {
+// refusal to answer with (nil: m holds a result). abandoned reports that
+// the waiter walked away at the deadline without the group's token, so m
+// must never be reused. The waiter is the only place a deadline miss is
+// counted — once per answer that reports one, whether its own timer fired
+// or the group gave up first.
+func (s *Server) wait(m *member, tm *waitTimer) (aerr *apiError, abandoned bool) {
 	select {
 	case <-m.done:
 	default:
-		tm := time.NewTimer(time.Until(m.deadline))
-		select {
-		case <-m.done:
-			tm.Stop()
-		case <-tm.C:
+		if !tm.wait(m.done, m.deadline) {
 			// Walk away: the group may still fill m later, harmlessly —
 			// nobody reads it again.
 			s.metrics.deadlineExceeded.Inc()
-			return errDeadline
+			return errDeadline, true
 		}
 	}
 	if m.err == errDeadline {
 		s.metrics.deadlineExceeded.Inc()
 	}
-	return m.err
+	return m.err, false
+}
+
+// waitTimer is a waiter's deadline timer, reused across waits (a session
+// writer keeps one for its life; the zero value is ready to use).
+type waitTimer struct{ t *time.Timer }
+
+// wait blocks until done yields a token (true) or deadline passes (false).
+//
+// go.mod says go 1.22, so timer channels follow the pre-1.23 rules: a Stop
+// that returns false may leave a fired value in the channel, or one still
+// on its way. The drain after Stop takes what has arrived, and a fire seen
+// before the deadline is such a leftover and is waited past, so no stale
+// value can cut a later wait short under either set of rules.
+func (w *waitTimer) wait(done <-chan struct{}, deadline time.Time) bool {
+	d := time.Until(deadline)
+	if w.t == nil {
+		w.t = time.NewTimer(d)
+	} else {
+		w.t.Reset(d)
+	}
+	for {
+		select {
+		case <-done:
+			if !w.t.Stop() {
+				select {
+				case <-w.t.C:
+				default:
+				}
+			}
+			return true
+		case <-w.t.C:
+			if d = time.Until(deadline); d <= 0 {
+				return false
+			}
+			w.t.Reset(d)
+		}
+	}
+}
+
+// groupBuf is a tenant's reusable group storage: the members a flusher
+// took from the pending queue (their slice swaps with the queue's), the
+// merge of a multi-member group's observations, and DecideBatchInto's
+// result. A flusher takes it under coalMu for one group and gives it back
+// when the group is done; a flusher that handOff replaced keeps its own.
+type groupBuf struct {
+	members []*member
+	obs     []moe.Observation
+	threads []int
+}
+
+// Capacity a tenant keeps in its group buffer between groups; a larger
+// group allocates its own storage, which is dropped afterwards.
+const (
+	maxKeptGroupMembers = 1024
+	maxKeptGroupObs     = 256
+)
+
+// putGroupLocked gives g back to the tenant, without its member pointers
+// and without storage past the caps. Callers hold t.coalMu.
+func (t *tenant) putGroupLocked(g *groupBuf) {
+	clear(g.members)
+	g.members = g.members[:0]
+	if cap(g.members) > maxKeptGroupMembers {
+		g.members = nil
+	}
+	if cap(g.obs) > maxKeptGroupObs {
+		g.obs = nil
+	}
+	if cap(g.threads) > maxKeptGroupObs {
+		g.threads = nil
+	}
+	t.spare = g
 }
 
 // flusher drains the tenant's coalescer until the pending queue is empty;
 // requests that arrive while a group is being decided merge into the next
 // group. DisableStreamCoalesce takes one member per group instead.
+//
+// Each group arms the tenant's expiry timer at the group's latest deadline
+// under a fresh sequence number. Past that deadline — by when every waiter
+// has answered 504 — a group still deciding would stall the coalescer, so
+// handOff moves it to a fresh flusher and this one stays with the stuck
+// generation until the watchdog recycles it.
 func (s *Server) flusher(t *tenant) {
+	var g *groupBuf
+	var seq uint64
 	for {
 		t.coalMu.Lock()
-		group := t.coalPending
-		if len(group) == 0 {
+		if g != nil {
+			if t.live != seq {
+				t.coalMu.Unlock()
+				return // the group outlived its deadline; handOff replaced us
+			}
+			t.live = 0
+			t.expiry.Stop()
+			t.putGroupLocked(g)
+		}
+		pending := t.coalPending
+		if len(pending) == 0 {
 			t.coalActive = false
 			t.coalMu.Unlock()
 			return
 		}
+		g = t.spare
+		if g == nil {
+			g = new(groupBuf)
+		}
+		t.spare = nil
 		if s.cfg.DisableStreamCoalesce {
-			group, t.coalPending = group[:1:1], group[1:]
+			g.members = append(g.members, pending[0])
+			pending[0] = nil
+			t.coalPending = pending[1:]
 		} else {
-			t.coalPending = nil
+			g.members, t.coalPending = pending, g.members
+		}
+		latest := g.members[0].deadline
+		for _, m := range g.members[1:] {
+			if m.deadline.After(latest) {
+				latest = m.deadline
+			}
+		}
+		t.groupSeq++
+		seq = t.groupSeq
+		t.live, t.liveUntil = seq, latest
+		if t.expiry == nil {
+			t.expiry = time.AfterFunc(time.Until(latest), func() { s.handOff(t) })
+		} else {
+			t.expiry.Reset(time.Until(latest))
 		}
 		t.coalMu.Unlock()
-		if !s.serveGroup(t, group) {
-			return // the group outlived its deadline; handOff replaced us
-		}
+		s.serveGroup(t, g, latest)
 	}
 }
 
-// handOff gives the tenant's coalescer to a fresh flusher, or marks it
-// idle when nothing is pending. It runs when a group outlives its latest
-// deadline: the flusher serving it may be stuck in a wedged decision, and
-// the tenant's other requests must keep being served (or timed out)
-// behind it.
+// handOff runs on the tenant's expiry timer. When the live group is still
+// deciding past its latest deadline, the decision may be wedged, and the
+// tenant's other requests must keep being served (or timed out) behind it:
+// the coalescer goes to a fresh flusher, or idles when nothing is pending.
+// A firing for a group that already finished, or armed for an earlier
+// group, finds nothing past its deadline and does nothing.
 func (s *Server) handOff(t *tenant) {
 	t.coalMu.Lock()
+	if t.live == 0 || time.Now().Before(t.liveUntil) {
+		t.coalMu.Unlock()
+		return
+	}
+	t.live = 0
 	t.coalActive = len(t.coalPending) > 0
 	spawn := t.coalActive
 	t.coalMu.Unlock()
 	if spawn {
-		go s.flusher(t)
+		go t.flush()
 	}
 }
 
@@ -217,49 +340,56 @@ type decideResult struct {
 // serveGroup serves one coalesced group on tenant t: breaker admission,
 // core acquisition, the dedup pass, then one merged DecideBatch whose
 // commit — dedup markers, journal sync, replica flush — every member
-// shares. It reports false when the group outlived its latest deadline
-// and the calling flusher has been replaced.
-func (s *Server) serveGroup(t *tenant, group []*member) (flushing bool) {
+// shares. latest is the group's latest deadline: past it the group stops
+// waiting for its core and decision slot.
+func (s *Server) serveGroup(t *tenant, g *groupBuf, latest time.Time) {
+	group := g.members
 	t.mu.Lock()
 	ok, retry := t.brk.admit(time.Now())
 	t.setStateLocked()
 	t.mu.Unlock()
 	if !ok {
 		s.shedGroup(group, "quarantined", "tenant quarantined after fault", retry)
-		return true
+		return
 	}
-	latest := group[0].deadline
-	for _, m := range group[1:] {
-		if m.deadline.After(latest) {
-			latest = m.deadline
+
+	// A context bounded by the latest deadline is made only on the slow
+	// path: a core to rebuild or a decision slot that is busy.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	slow := func() context.Context {
+		if ctx == nil {
+			ctx, cancel = context.WithDeadline(context.Background(), latest)
 		}
+		return ctx
 	}
-	// Past the group's latest deadline — by when every waiter has answered
-	// 504 — the group stops waiting for its core and slot; and since the
-	// batch runs on the flusher, a batch still deciding then would stall the
-	// coalescer, so the coalescer moves to a fresh flusher (handOff) and
-	// this one stays with the stuck generation until the watchdog recycles
-	// it.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	expiry := time.AfterFunc(time.Until(latest), func() {
-		cancel()
-		s.handOff(t)
-	})
-	defer func() { flushing = expiry.Stop() }()
+	defer func() {
+		if cancel != nil {
+			cancel()
+		}
+	}()
 
 	var core *tenantCore
 	for attempt := 0; core == nil; attempt++ {
-		c, aerr := s.ensureCore(ctx, t)
-		if aerr != nil {
-			failAll(group, aerr)
-			return
+		t.mu.Lock()
+		c := t.core
+		t.mu.Unlock()
+		if c == nil {
+			var aerr *apiError
+			if c, aerr = s.ensureCore(slow(), t); aerr != nil {
+				failAll(group, aerr)
+				return
+			}
 		}
 		select {
 		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			failAll(group, errDeadline)
-			return
+		default:
+			select {
+			case c.sem <- struct{}{}:
+			case <-slow().Done():
+				failAll(group, errDeadline)
+				return
+			}
 		}
 		// The generation may have been recycled while we waited on its
 		// slot; serving on it would resurrect an abandoned timeline.
@@ -322,10 +452,14 @@ func (s *Server) serveGroup(t *tenant, group []*member) (flushing bool) {
 		for _, m := range exec {
 			total += len(m.obs)
 		}
-		obs = make([]moe.Observation, 0, total)
-		for _, m := range exec {
-			obs = append(obs, m.obs...)
+		if cap(g.obs) < total {
+			g.obs = make([]moe.Observation, 0, total)
 		}
+		g.obs = g.obs[:0]
+		for _, m := range exec {
+			g.obs = append(g.obs, m.obs...)
+		}
+		obs = g.obs
 	}
 	var res decideResult
 	func() {
@@ -335,8 +469,9 @@ func (s *Server) serveGroup(t *tenant, group []*member) (flushing bool) {
 				res.threads = nil
 			}
 		}()
-		res.threads = core.rt.DecideBatch(obs)
+		res.threads = core.rt.DecideBatchInto(g.threads[:0], obs)
 		res.decisions = int64(core.rt.Decisions())
+		g.threads = res.threads
 	}()
 	// Commit before any member is answered: the dedup markers must be
 	// journaled behind the batch's own entries, and the replication group
@@ -345,7 +480,6 @@ func (s *Server) serveGroup(t *tenant, group []*member) (flushing bool) {
 	s.finishDecide(t, core, &res)
 	s.answerGroup(t, exec, late, &res)
 	<-core.sem
-	return
 }
 
 // shedGroup refuses every member with one 503, counted per member as if
@@ -360,8 +494,8 @@ func (s *Server) shedGroup(group []*member, reason, msg string, retry time.Durat
 }
 
 // commitGroup is the group's commit point, run on the flusher
-// before any member is answered. Each member's decision count and thread
-// sub-slice fall out of prefix sums over the merged result (DecideBatch
+// before any member is answered. Each member's decision count and threads
+// fall out of prefix sums over the merged result (DecideBatch
 // answers one decision per observation, in order). Then, on a current
 // generation: dedup markers for identified members, journaled behind the
 // batch's entries and admitted to the in-memory window; one journal sync;
@@ -377,7 +511,9 @@ func (s *Server) commitGroup(t *tenant, core *tenantCore, exec []*member, res *d
 	off := 0
 	count := res.decisions - int64(len(res.threads))
 	for _, m := range exec {
-		m.threads = res.threads[off : off+len(m.obs)]
+		// Each member keeps its own copy: the tenant reuses the merged
+		// result for its next group while this one's waiters still read.
+		m.threads = append(m.threads[:0], res.threads[off:off+len(m.obs)]...)
 		off += len(m.obs)
 		count += int64(len(m.obs))
 		m.decisions = count
@@ -454,7 +590,7 @@ func (s *Server) answerGroup(t *tenant, exec, late []*member, res *decideResult)
 		return
 	}
 	for _, m := range exec {
-		close(m.done)
+		m.done <- struct{}{}
 	}
 	for _, m := range late {
 		t.mu.Lock()

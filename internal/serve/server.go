@@ -425,11 +425,12 @@ func (s *Server) serveOne(req *jsonRequest, deadline time.Duration) (*decideResp
 	if req.err != nil {
 		return nil, &apiError{status: 400, code: "bad-request", msg: req.err.Error()}
 	}
-	m := &member{reqID: req.reqID, obs: req.obs, deadline: time.Now().Add(deadline), done: make(chan struct{})}
+	m := &member{reqID: req.reqID, obs: req.obs, deadline: time.Now().Add(deadline), done: make(chan struct{}, 1)}
 	if aerr := s.submit(req.tenant, m); aerr != nil {
 		return nil, aerr
 	}
-	if aerr := s.wait(m); aerr != nil {
+	var tm waitTimer
+	if aerr, _ := s.wait(m, &tm); aerr != nil {
 		return nil, aerr
 	}
 	return &decideResponse{Tenant: req.tenant, Threads: m.threads, Decisions: m.decisions, Deduped: m.deduped}, nil

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"moe"
 	"moe/internal/telemetry"
 	"moe/internal/wire"
 )
@@ -66,7 +65,9 @@ func (m *streamMetrics) init(reg *telemetry.Registry) {
 
 // streamSlot is one frame's place in the response order: the decode loop
 // enqueues it, and the writer — the member's waiter — answers it in
-// arrival order.
+// arrival order. The session recycles slots: one is reused only after the
+// writer took its member's token, and its member keeps the observation and
+// thread storage of earlier frames.
 type streamSlot struct {
 	seq       uint64
 	start     time.Time
@@ -74,9 +75,12 @@ type streamSlot struct {
 	m         member
 }
 
-func newStreamSlot(seq uint64, now, deadline time.Time) *streamSlot {
-	return &streamSlot{seq: seq, start: now, m: member{deadline: deadline, done: make(chan struct{})}}
-}
+// maxKeptSlotObs caps the observation and thread storage a recycled slot
+// keeps; a slot that served a larger frame drops it.
+const maxKeptSlotObs = 32
+
+// maxSessionTenants caps a session's table of tenant names.
+const maxSessionTenants = 64
 
 // session is one streaming connection.
 type session struct {
@@ -84,8 +88,55 @@ type session struct {
 	conn    net.Conn
 	bw      *bufio.Writer
 	order   chan *streamSlot
-	scratch []byte // writer-owned encode buffer
-	werr    error  // first write error; later writes are swallowed
+	free    chan *streamSlot // written slots for the decode loop; as deep as order
+	scratch []byte           // writer-owned encode buffer
+	timer   waitTimer        // writer-owned deadline timer
+	werr    error            // first write error; later writes are swallowed
+
+	// tenants interns the tenant names the decode loop has seen, so a frame
+	// for a known tenant names it without allocating.
+	tenants map[string]string
+}
+
+// slot returns a recycled slot, or a new one, ready for frame seq.
+func (sess *session) slot(seq uint64, now, deadline time.Time) *streamSlot {
+	var slot *streamSlot
+	select {
+	case slot = <-sess.free:
+		slot.m.reset(deadline)
+	default:
+		slot = &streamSlot{m: member{deadline: deadline, done: make(chan struct{}, 1)}}
+	}
+	slot.seq, slot.start, slot.holdsSlot = seq, now, false
+	return slot
+}
+
+// recycle hands a written slot back to the decode loop. Only a slot whose
+// token the writer took may come here.
+func (sess *session) recycle(slot *streamSlot) {
+	if cap(slot.m.obs) > maxKeptSlotObs {
+		slot.m.obs = nil
+	}
+	if cap(slot.m.threads) > maxKeptSlotObs {
+		slot.m.threads = nil
+	}
+	select {
+	case sess.free <- slot:
+	default:
+	}
+}
+
+// tenantName returns the tenant named by b as a string, allocating only
+// the first time the session sees the name.
+func (sess *session) tenantName(b []byte) string {
+	if name, ok := sess.tenants[string(b)]; ok {
+		return name
+	}
+	name := string(b)
+	if len(sess.tenants) < maxSessionTenants {
+		sess.tenants[name] = name
+	}
+	return name
 }
 
 // ServeStream serves the wire protocol on ln — the same session loop the
@@ -162,7 +213,8 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	s.stream.sessions.Add(1)
 	defer s.stream.sessions.Add(-1)
 
-	sess := &session{s: s, conn: conn, bw: bw, order: make(chan *streamSlot, s.cfg.MaxInflight+16)}
+	sess := &session{s: s, conn: conn, bw: bw, order: make(chan *streamSlot, s.cfg.MaxInflight+16),
+		free: make(chan *streamSlot, s.cfg.MaxInflight+16), tenants: make(map[string]string)}
 
 	// First bytes decide the protocol: a wire hello opens a framed
 	// session; anything else (a '{' from a JSON client, typically) demotes
@@ -264,7 +316,7 @@ func (sess *session) decodeLoop(rd *wire.Reader) {
 // in-flight group: drain waits for its answer to be written.
 func (sess *session) enqueueError(seq uint64, now time.Time, e *apiError) {
 	sess.s.inflight.Add(1)
-	slot := newStreamSlot(seq, now, now)
+	slot := sess.slot(seq, now, now)
 	slot.m.fail(e)
 	sess.order <- slot
 }
@@ -281,15 +333,16 @@ func (sess *session) handleDecideFrame(payload []byte, req *wire.Decide) {
 		sess.enqueueError(req.Seq, now, &apiError{status: 400, code: "bad-request", msg: err.Error()})
 		return
 	}
-	slot := newStreamSlot(req.Seq, now, now.Add(s.deadline(req.DeadlineMs)))
+	slot := sess.slot(req.Seq, now, now.Add(s.deadline(req.DeadlineMs)))
 	if e := s.admit(now); e != nil {
 		slot.m.fail(e)
 	} else {
 		slot.holdsSlot = true
 		slot.m.reqID = string(req.RequestID)
-		// req.Obs aliases the frame read buffer; the coalescer outlives it.
-		slot.m.obs = append([]moe.Observation(nil), req.Obs...)
-		if e := s.submit(string(req.Tenant), &slot.m); e != nil {
+		// req.Obs is reused by the next frame's parse; the coalescer
+		// outlives it, so the slot keeps a copy.
+		slot.m.obs = append(slot.m.obs, req.Obs...)
+		if e := s.submit(sess.tenantName(req.Tenant), &slot.m); e != nil {
 			slot.m.fail(e)
 		}
 	}
@@ -297,13 +350,16 @@ func (sess *session) handleDecideFrame(payload []byte, req *wire.Decide) {
 }
 
 // writeLoop is the session's single writer: slots leave in arrival order,
-// each waiting out at most its own deadline. The buffered writer is
-// flushed on quiet edges — when the queue momentarily empties — so a
-// coalesced group's responses share one flush.
+// each waiting out at most its own deadline on the session's one timer.
+// The buffered writer is flushed on quiet edges — when the queue
+// momentarily empties — so a coalesced group's responses share one flush.
+// A slot goes back to the decode loop once written, unless its waiter
+// walked away from it.
 func (sess *session) writeLoop() {
 	s := sess.s
 	for slot := range sess.order {
-		if e := s.wait(&slot.m); e != nil {
+		e, abandoned := s.wait(&slot.m, &sess.timer)
+		if e != nil {
 			sess.scratch = wire.AppendError(sess.scratch[:0], slot.seq, e.retryAfter.Milliseconds(), e.code, e.msg)
 		} else {
 			r := wire.Result{Seq: slot.seq, Decisions: slot.m.decisions, Deduped: slot.m.deduped, Threads: slot.m.threads}
@@ -311,6 +367,9 @@ func (sess *session) writeLoop() {
 		}
 		sess.write(sess.scratch)
 		sess.finishSlot(slot)
+		if !abandoned {
+			sess.recycle(slot)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"moe"
+	"moe/internal/features"
 	"moe/internal/sim"
 	"moe/moeclient"
 )
@@ -768,5 +770,255 @@ func TestGroupCommitUnderServe(t *testing.T) {
 		if resp.Decisions != 36 {
 			t.Fatalf("tenant %s resumed at %d decisions, want 36 (group commit lost acked appends)", id, resp.Decisions)
 		}
+	}
+}
+
+// TestStreamSlotReuseAfterDeadline pins the session's slot lifecycle. A
+// frame on a gated tenant 504s at its deadline, so the writer walks away
+// from its slot. Frames for twelve held tenants then queue behind their own
+// gates, enough to take every slot the session has recycled, and the first
+// gate opens: the group fills the abandoned member late. The held tenants
+// are released one at a time, each frame written before the next tenant
+// decides, so a held frame that reused the abandoned slot would be answered
+// with the late fill, whose threads differ. Every answer, with frames for
+// another tenant served throughout, must equal a solo-runtime replay. A
+// second deadline miss shows the session's one timer still fires after it
+// has fired once.
+func TestStreamSlotReuseAfterDeadline(t *testing.T) {
+	var heldIDs []string
+	for i := 0; i < 12; i++ {
+		heldIDs = append(heldIDs, fmt.Sprintf("held%02d", i))
+	}
+	gates := map[string]*gatePolicy{}
+	for _, id := range append([]string{"gated", "gated2"}, heldIDs...) {
+		gates[id] = &gatePolicy{entered: make(chan struct{}), release: make(chan struct{})}
+	}
+	srv, ts := newTestServer(t, Config{
+		MaxInflight:  64,
+		WedgeTimeout: time.Minute, // keep the watchdog out of it
+		PolicyBuild: func(id string) (moe.Policy, error) {
+			p, err := DefaultPolicyBuild(id)
+			if g := gates[id]; g != nil {
+				g.Policy = p
+				return g, err
+			}
+			return p, err
+		},
+	})
+	released := map[string]bool{}
+	release := func(id string) {
+		if !released[id] {
+			released[id] = true
+			close(gates[id].release)
+		}
+	}
+	t.Cleanup(func() {
+		for id := range gates {
+			release(id)
+		}
+	})
+	c := dialStream(t, ts.URL)
+	resps := make(chan *moeclient.Response, 256)
+	go func() {
+		for {
+			resp, err := c.Recv()
+			resps <- resp // nil: the session ended
+			if err != nil {
+				return
+			}
+		}
+	}()
+	recv := func() *moeclient.Response {
+		t.Helper()
+		select {
+		case resp := <-resps:
+			if resp == nil {
+				t.Fatal("session ended")
+			}
+			return resp
+		case <-time.After(5 * time.Second):
+			t.Fatal("no answer within 5s")
+			return nil
+		}
+	}
+	send := func(seq, deadlineMs uint64, tenant string, obs []moe.Observation) {
+		t.Helper()
+		if err := c.Send(seq, deadlineMs, tenant, "", obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectDeadline := func(seq uint64) {
+		t.Helper()
+		resp := recv()
+		if se, ok := resp.Err.(*moeclient.ServerError); !ok || se.Code != "deadline-exceeded" || resp.Seq != seq {
+			t.Fatalf("got seq %d %+v, want seq %d deadline-exceeded", resp.Seq, resp.Err, seq)
+		}
+	}
+	want := map[uint64][]int{}
+	decisions := map[uint64]int64{}
+	expect := func(seqs []uint64) {
+		t.Helper()
+		for _, seq := range seqs {
+			resp := recv()
+			if resp.Err != nil || resp.Seq != seq {
+				t.Fatalf("got seq %d %+v, want seq %d answered", resp.Seq, resp.Err, seq)
+			}
+			if fmt.Sprint(resp.Threads) != fmt.Sprint(want[seq]) || resp.Decisions != decisions[seq] {
+				t.Fatalf("seq %d: threads %v decisions %d, solo replay %v decisions %d",
+					seq, resp.Threads, resp.Decisions, want[seq], decisions[seq])
+			}
+		}
+	}
+
+	// Each tenant's frames follow its stream; sendNext queues n frames of
+	// the given size, or of sizes 1..16 when size is 0. The gated tenant's
+	// first frame sees 4 processors, so the late fill's threads differ from
+	// every held tenant's answer; the other tenant's features vary, so one
+	// frame's threads differ from the next's.
+	streams := map[string][]moe.Observation{}
+	solo := map[string][]int{}
+	pos := map[string]int{}
+	for _, id := range append([]string{"gated", "other"}, heldIDs...) {
+		streams[id] = tenantStream(id, 0, 1000)
+		switch id {
+		case "gated":
+			for i := range streams[id][:4] {
+				streams[id][i].AvailableProcs = 4
+				streams[id][i].Features[features.Processors] = 4
+			}
+		case "other":
+			for i := range streams[id] {
+				streams[id][i].Features[0] = 0.3 * float64(i%7)
+				streams[id][i].Features[2] = float64(i % 5)
+			}
+		}
+		solo[id] = soloThreads(t, streams[id])
+	}
+	if late, held := fmt.Sprint(solo["gated"][:3]), fmt.Sprint(solo[heldIDs[0]][:3]); late == held {
+		t.Fatalf("late fill %s indistinguishable from a held answer %s", late, held)
+	}
+	var seq uint64
+	sendNext := func(tenant string, n, size int) []uint64 {
+		var seqs []uint64
+		for i := 0; i < n; i++ {
+			seq++
+			k, from := size, pos[tenant]
+			if k == 0 {
+				k = 1 + (from*7)%16
+			}
+			send(seq, 5000, tenant, streams[tenant][from:from+k])
+			want[seq] = solo[tenant][from : from+k]
+			pos[tenant] = from + k
+			decisions[seq] = int64(from + k)
+			seqs = append(seqs, seq)
+		}
+		return seqs
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Warm the session: these slots are recycled before the deadline miss.
+	warm := sendNext("other", 8, 0)
+	flush()
+	expect(warm)
+
+	seq++
+	send(seq, 100, "gated", streams["gated"][0:4])
+	pos["gated"] = 4
+	flush()
+	<-gates["gated"].entered
+	expectDeadline(seq)
+
+	var held []uint64
+	for _, id := range heldIDs {
+		held = append(held, sendNext(id, 1, 3)...)
+	}
+	flush()
+	for _, id := range heldIDs {
+		<-gates[id].entered
+	}
+	srv.tn.mu.RLock()
+	gatedTenant := srv.tn.m["gated"]
+	srv.tn.mu.RUnlock()
+	gatedTenant.mu.Lock()
+	gatedCore := gatedTenant.core
+	gatedTenant.mu.Unlock()
+	release("gated")
+	waitFor("the late fill", func() bool { return len(gatedCore.sem) == 0 })
+	for _, id := range heldIDs {
+		before := srv.slots.inUse()
+		release(id)
+		waitFor(id+"'s frame written", func() bool { return srv.slots.inUse() < before })
+	}
+	rest := append(sendNext("gated", 4, 4), sendNext("other", 24, 0)...)
+	flush()
+	expect(append(held, rest...))
+
+	// The writer's timer has fired once; it must fire again.
+	seq++
+	send(seq, 100, "gated2", tenantStream("gated2", 0, 2))
+	flush()
+	<-gates["gated2"].entered
+	start := time.Now()
+	expectDeadline(seq)
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("second deadline answered after %s", waited)
+	}
+	release("gated2")
+	last := append(sendNext("gated", 4, 0), sendNext("other", 16, 0)...)
+	flush()
+	expect(last)
+}
+
+// TestStreamDedupAfterReuse pins that the dedup window owns its threads: a
+// request-ID'd frame is followed by enough traffic on the same session
+// and tenant to recycle its slot and the tenant's group buffers, and a
+// retry with the same ID still returns the original threads.
+func TestStreamDedupAfterReuse(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInflight: 64})
+	c := dialStream(t, ts.URL)
+	stream := tenantStream("idem", 0, 1200)
+	solo := soloThreads(t, stream)
+	first, err := c.Do(1, 5000, "idem", "r1", stream[0:8])
+	if err != nil || first.Err != nil {
+		t.Fatalf("first: %v / %+v", err, first)
+	}
+	if fmt.Sprint(first.Threads) != fmt.Sprint(solo[0:8]) {
+		t.Fatalf("first answer %v, solo replay %v", first.Threads, solo[0:8])
+	}
+	for round, pos := 0, 8; round < 4; round++ {
+		frames := map[uint64][]moe.Observation{}
+		for i := 0; i < 16; i++ {
+			// At most the first frame's size, so the reused storage is
+			// overwritten in place.
+			size := 1 + (pos*5)%8
+			frames[uint64(100*round+i+2)] = stream[pos : pos+size]
+			pos += size
+		}
+		for seq, resp := range pipeline(t, c, frames, func(uint64) string { return "idem" }) {
+			if resp.Err != nil {
+				t.Fatalf("seq %d: %v", seq, resp.Err)
+			}
+		}
+	}
+	again, err := c.Do(999, 5000, "idem", "r1", stream[0:8])
+	if err != nil || again.Err != nil {
+		t.Fatalf("retry: %v / %+v", err, again)
+	}
+	if !again.Deduped || fmt.Sprint(again.Threads) != fmt.Sprint(first.Threads) || again.Decisions != first.Decisions {
+		t.Fatalf("retry (%v, %d, deduped %v) != original (%v, %d)",
+			again.Threads, again.Decisions, again.Deduped, first.Threads, first.Decisions)
 	}
 }

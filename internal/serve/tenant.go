@@ -39,16 +39,15 @@ type tenant struct {
 
 	// mu guards everything below. It is never held across policy code,
 	// store I/O, or channel waits — a wedged tenant must stay observable.
-	mu          sync.Mutex
-	core        *tenantCore
-	gen         int // generation the *next* core will get
-	brk         *breaker
-	degraded    string    // latched reason for journal-less serving; "" = persistent
-	busySince   time.Time // non-zero while a decision is in flight on core
-	recycles    int       // watchdog recycles, lifetime
-	served      int64     // decisions served across generations
-	lastDecided []int     // tail of the most recent batch, for /v1/tenants
-	dedup       *dedupWindow
+	mu        sync.Mutex
+	core      *tenantCore
+	gen       int // generation the *next* core will get
+	brk       *breaker
+	degraded  string    // latched reason for journal-less serving; "" = persistent
+	busySince time.Time // non-zero while a decision is in flight on core
+	recycles  int       // watchdog recycles, lifetime
+	served    int64     // decisions served across generations
+	dedup     *dedupWindow
 
 	// rebuild serializes core construction (store open + resume can be
 	// slow); waiters bail out on their request context.
@@ -62,6 +61,15 @@ type tenant struct {
 	coalMu      sync.Mutex
 	coalPending []*member
 	coalActive  bool
+	spare       *groupBuf // group storage no flusher holds (nil: one does)
+	// The expiry timer is armed for one group at a time: live is the
+	// sequence number of the group deciding now (0: none) and liveUntil its
+	// latest deadline. handOff acts only on a live group past it.
+	expiry    *time.Timer
+	groupSeq  uint64
+	live      uint64
+	liveUntil time.Time
+	flush     func() // runs s.flusher(t); made once so spawning allocates nothing
 
 	// Per-tenant label set. Handles are created once at registration; past
 	// the registry's cardinality cap they are detached (still usable,
@@ -142,6 +150,7 @@ func (s *Server) tenant(id string) (*tenant, *apiError) {
 		mRecycles: s.reg.Counter("serve_tenant_recycles_total",
 			"Watchdog recycles of a wedged tenant generation.", "tenant", id),
 	}
+	t.flush = func() { s.flusher(t) }
 	if s.cfg.CheckpointRoot != "" {
 		t.dir = filepath.Join(s.cfg.CheckpointRoot, id)
 	}
@@ -358,7 +367,6 @@ func (s *Server) finishDecide(t *tenant, core *tenantCore, res *decideResult) {
 			t.brk.succeed()
 			t.setStateLocked()
 			t.served = res.decisions
-			t.lastDecided = res.threads
 		}
 		t.mu.Unlock()
 		if current {

@@ -61,15 +61,17 @@ evolve-smoke:
 # bench-smoke is the CI guard: cheap fixed-iteration runs of the sim
 # stepping-loop, batch decision, single-shot decision (the same dispatcher
 # as a batch, so mostly the fast path; with a telemetry sink every decision
-# walks the full ladder), wire codec and streaming-session (the whole
-# serving pipeline, frame in to answer out) microbenchmarks that fail if
-# any steady-state loop ever allocates again. Timing is not asserted (CI
+# walks the full ladder), wire codec, streaming-session (the whole
+# serving pipeline, frame in to answer out) and least-squares accumulator
+# (a full history ring streamed and solved, as every expert birth does)
+# microbenchmarks that fail if any steady-state loop ever allocates again. Timing is not asserted (CI
 # machines are too noisy); the allocs/op == 0 invariant is.
 bench-smoke:
 	$(GO) test ./internal/sim -run=NONE -bench 'StepLoop' -benchmem -benchtime=100x -count=2 | tee bench-smoke.txt
 	$(GO) test . -run=NONE -bench 'DecideBatchSteady|^BenchmarkDecide$$|DecideInstrumented' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
 	$(GO) test ./internal/wire -run=NONE -bench 'WireRoundTrip' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
 	$(GO) test ./internal/serve -run=NONE -bench 'StreamSession' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
+	$(GO) test ./internal/regress -run=NONE -bench 'AccumulatorStream' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
 	@if grep -E '[1-9][0-9]* allocs/op' bench-smoke.txt; then \
 		echo 'bench-smoke: a steady-state hot loop allocates'; exit 1; \
 	fi

@@ -3,6 +3,7 @@ package evolve
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"moe/internal/expert"
 	"moe/internal/features"
@@ -34,11 +35,12 @@ func Spawn(name string, parentA, parentB *expert.Expert, hist *History, rng *RNG
 		return nil, fmt.Errorf("evolve: spawn without a parent")
 	}
 
-	env, err := breedEnv(parentA, hist, rng, cfg)
+	fit := fitHistory(hist, cfg)
+	env, err := breedEnv(parentA, fit.env, rng, cfg)
 	if err != nil {
 		return nil, err
 	}
-	threads, err := breedThreads(parentA, parentB, hist, rng, cfg)
+	threads, err := breedThreads(parentA, parentB, fit.clone, rng, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +58,7 @@ func Spawn(name string, parentA, parentB *expert.Expert, hist *History, rng *RNG
 		child.MaxThreads = parentB.MaxThreads
 	}
 	if hist.Len() >= cfg.RefitMin {
-		child.FeatMean, child.FeatStd = historyStats(hist)
+		child.FeatMean, child.FeatStd = fit.mean, fit.std
 	}
 	if err := child.Validate(); err != nil {
 		return nil, fmt.Errorf("evolve: candidate rejected: %w", err)
@@ -71,21 +73,101 @@ func lineageTag(a, b *expert.Expert) string {
 	return fmt.Sprintf("evolved(%s×%s)", a.Name, b.Name)
 }
 
-// breedEnv produces the candidate's environment predictor: a refit against
-// history when enough evidence exists, otherwise a mutation of parentA's
-// norm table.
-func breedEnv(parentA *expert.Expert, hist *History, rng *RNG, cfg Config) (*regress.Model, error) {
-	if hist.Len() >= cfg.RefitMin {
-		samples := make([]regress.Sample, 0, hist.Len())
-		hist.Each(func(s *Sample) {
-			samples = append(samples, regress.Sample{X: s.Feat.Slice(), Y: s.NextNorm})
-		})
-		if m, err := regress.Fit(samples, regress.Options{Ridge: 1e-6}); err == nil {
-			if fitted, err := regress.FromCoefficients(clampCoeffs(m.Coefficients())); err == nil {
-				return fitted, nil
-			}
+// historyFit is everything a birth learns from the observation history.
+type historyFit struct {
+	// env fits the next environment norm over the whole history; clone
+	// fits the thread counts of its high-rate decisions. Either is nil
+	// when its fit fails or leaves the coefficient bounds, clone also when
+	// too few decisions qualify.
+	env, clone *regress.Model
+	// mean and std are the per-feature statistics of the history, giving
+	// a refit candidate training statistics that describe the
+	// distribution it was actually fit on.
+	mean, std [features.Dim]float64
+}
+
+// fitHistory streams the history, oldest to newest, through one
+// least-squares accumulator in two walks: the first fits the environment
+// predictor and sums the feature means and the best rate, the second fits
+// the behavior clone (which needs the best rate) and sums the spreads
+// (which need the means). Nothing is fit below cfg.RefitMin samples.
+func fitHistory(hist *History, cfg Config) historyFit {
+	var fit historyFit
+	if hist.Len() < cfg.RefitMin || hist.Len() == 0 {
+		return fit
+	}
+	acc := refitAccumulators.Get().(*regress.Accumulator)
+	defer refitAccumulators.Put(acc)
+	acc.Reset()
+	maxRate := 0.0
+	hist.Each(func(s *Sample) {
+		if s.Rate > maxRate {
+			maxRate = s.Rate
 		}
-		// Singular or out-of-bound fit: fall through to mutation.
+		for i := 0; i < features.Dim; i++ {
+			fit.mean[i] += s.Feat[i]
+		}
+		acc.Add(s.Feat[:], s.NextNorm)
+	})
+	n := float64(hist.Len())
+	for i := range fit.mean {
+		fit.mean[i] /= n
+	}
+	fit.env = solveBounded(acc)
+
+	// The behavior clone learns only from steps whose progress rate
+	// reached cloneRateFraction of the best rate in history.
+	acc.Reset()
+	minRate := cloneRateFraction * maxRate
+	hist.Each(func(s *Sample) {
+		for i := 0; i < features.Dim; i++ {
+			d := s.Feat[i] - fit.mean[i]
+			fit.std[i] += d * d
+		}
+		if maxRate > 0 && s.Rate >= minRate && s.Threads > 0 {
+			acc.Add(s.Feat[:], float64(s.Threads))
+		}
+	})
+	for i := range fit.std {
+		fit.std[i] = math.Sqrt(fit.std[i] / n)
+	}
+	if acc.Len() >= cfg.RefitMin/2 {
+		fit.clone = solveBounded(acc)
+	}
+	return fit
+}
+
+// refitAccumulators hands each birth an accumulator a finished birth left
+// behind. Every refit has the same shape, and a living pool breeds every
+// Period decisions, so births do not allocate one each.
+var refitAccumulators = sync.Pool{New: func() any {
+	acc, err := regress.NewAccumulator(features.Dim, 1, regress.Options{Ridge: 1e-6})
+	if err != nil {
+		panic(err) // a fixed, valid shape
+	}
+	return acc
+}}
+
+// solveBounded solves the accumulated fit with its coefficients clamped
+// inside the loading bound, or returns nil when the fit fails.
+func solveBounded(acc *regress.Accumulator) *regress.Model {
+	var coeffs [features.Dim + 1]float64
+	if err := acc.SolveInto(0, coeffs[:]); err != nil {
+		return nil
+	}
+	m, err := regress.FromCoefficients(clampCoeffs(coeffs[:]))
+	if err != nil {
+		return nil
+	}
+	return m
+}
+
+// breedEnv produces the candidate's environment predictor: the refit
+// against history when one succeeded, otherwise a mutation of parentA's
+// norm table.
+func breedEnv(parentA *expert.Expert, refit *regress.Model, rng *RNG, cfg Config) (*regress.Model, error) {
+	if refit != nil {
+		return refit, nil
 	}
 	pm := expert.NormEnv(parentA)
 	if pm == nil {
@@ -95,9 +177,9 @@ func breedEnv(parentA *expert.Expert, hist *History, rng *RNG, cfg Config) (*reg
 }
 
 // breedThreads produces the candidate's thread predictor: cross the
-// parents, blend halfway toward a behavior clone of the pool's own
-// high-progress decisions when one can be fit, then mutate.
-func breedThreads(parentA, parentB *expert.Expert, hist *History, rng *RNG, cfg Config) (*regress.Model, error) {
+// parents, blend halfway toward the behavior clone of the pool's own
+// high-progress decisions when one was fit, then mutate.
+func breedThreads(parentA, parentB *expert.Expert, clone *regress.Model, rng *RNG, cfg Config) (*regress.Model, error) {
 	base := parentA.Threads
 	if parentB != nil {
 		crossed, err := expert.CrossModels(parentA.Threads, parentB.Threads, rng.Float64)
@@ -106,48 +188,13 @@ func breedThreads(parentA, parentB *expert.Expert, hist *History, rng *RNG, cfg 
 		}
 		base = crossed
 	}
-	if clone := fitClone(hist, cfg); clone != nil {
+	if clone != nil {
 		blended, err := expert.CrossModels(base, clone, func() float64 { return 0.5 })
 		if err == nil {
 			base = blended
 		}
 	}
 	return expert.MutateModel(base, cfg.MutationScale, rng.Sym)
-}
-
-// fitClone fits n = w·f to the history's high-rate decisions, or returns
-// nil when the evidence is too thin or the fit fails.
-func fitClone(hist *History, cfg Config) *regress.Model {
-	if hist.Len() < cfg.RefitMin {
-		return nil
-	}
-	maxRate := 0.0
-	hist.Each(func(s *Sample) {
-		if s.Rate > maxRate {
-			maxRate = s.Rate
-		}
-	})
-	if maxRate <= 0 {
-		return nil
-	}
-	var samples []regress.Sample
-	hist.Each(func(s *Sample) {
-		if s.Rate >= cloneRateFraction*maxRate && s.Threads > 0 {
-			samples = append(samples, regress.Sample{X: s.Feat.Slice(), Y: float64(s.Threads)})
-		}
-	})
-	if len(samples) < cfg.RefitMin/2 {
-		return nil
-	}
-	m, err := regress.Fit(samples, regress.Options{Ridge: 1e-6})
-	if err != nil {
-		return nil
-	}
-	m, err = regress.FromCoefficients(clampCoeffs(m.Coefficients()))
-	if err != nil {
-		return nil
-	}
-	return m
 }
 
 // clampCoeffs pulls fitted coefficients inside the loading bound so a
@@ -165,32 +212,4 @@ func clampCoeffs(c []float64) []float64 {
 		}
 	}
 	return c
-}
-
-// historyStats computes per-feature mean and standard deviation over the
-// history, giving a refit candidate training statistics that describe the
-// distribution it was actually fit on.
-func historyStats(hist *History) (mean, std [features.Dim]float64) {
-	n := float64(hist.Len())
-	if n == 0 {
-		return mean, std
-	}
-	hist.Each(func(s *Sample) {
-		for i := 0; i < features.Dim; i++ {
-			mean[i] += s.Feat[i]
-		}
-	})
-	for i := range mean {
-		mean[i] /= n
-	}
-	hist.Each(func(s *Sample) {
-		for i := 0; i < features.Dim; i++ {
-			d := s.Feat[i] - mean[i]
-			std[i] += d * d
-		}
-	})
-	for i := range std {
-		std[i] = math.Sqrt(std[i] / n)
-	}
-	return mean, std
 }

@@ -216,7 +216,7 @@ func TestOODScore(t *testing.T) {
 func TestSpeedupModelBest(t *testing.T) {
 	// Build a speedup model with a known peak: x = 6n − n²/2 peaks at
 	// n = 6.
-	w := make([]float64, speedupBasisDim)
+	w := make([]float64, SpeedupBasisDim)
 	w[features.Dim+0] = 6
 	w[features.Dim+1] = -0.5
 	sm := &SpeedupModel{Model: &regress.Model{Weights: w, Bias: 0}}
@@ -242,7 +242,7 @@ func TestSpeedupBasisInteractions(t *testing.T) {
 	f[features.WorkloadThreads] = 7
 	f[features.Processors] = 3
 	x := SpeedupBasis(f, 4)
-	if len(x) != speedupBasisDim {
+	if len(x) != SpeedupBasisDim {
 		t.Fatalf("basis width %d", len(x))
 	}
 	if x[features.Dim] != 4 || x[features.Dim+1] != 16 {
@@ -257,7 +257,7 @@ func TestPredictThreadsOODBlend(t *testing.T) {
 	// Direct predictor says 4; speedup surface peaks at 16. In
 	// distribution the direct wins; far out, the argmax wins.
 	e := testExpert(4)
-	w := make([]float64, speedupBasisDim)
+	w := make([]float64, SpeedupBasisDim)
 	w[features.Dim+0] = 16
 	w[features.Dim+1] = -0.5
 	e.Speedup = &SpeedupModel{Model: &regress.Model{Weights: w, Bias: 0}}

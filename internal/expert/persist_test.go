@@ -46,7 +46,7 @@ func TestMarshalRoundTripVectorModel(t *testing.T) {
 		vm.Models[i] = flatModel(float64(i + 1))
 		vm.Sigma[i] = float64(i+1) / 2
 	}
-	sw := make([]float64, speedupBasisDim)
+	sw := make([]float64, SpeedupBasisDim)
 	sw[features.Dim] = 1
 	sw[features.Dim+1] = -0.05
 	e := &Expert{

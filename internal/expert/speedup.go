@@ -25,21 +25,21 @@ type SpeedupModel struct {
 	Model *regress.Model
 }
 
-// speedupBasisDim is the engineered-basis width: the 10 raw features plus
+// SpeedupBasisDim is the engineered-basis width: the 10 raw features plus
 // n, n², and n interacted with the features that determine how many threads
 // pay off — external load, processors, run queue, load average, and the
 // memory-boundedness of the loop's code.
-const speedupBasisDim = features.Dim + 8
+const SpeedupBasisDim = features.Dim + 8
 
 // SpeedupBasis expands (f, n) into the regression basis for x.
 func SpeedupBasis(f features.Vector, n int) []float64 {
-	return SpeedupBasisInto(make([]float64, speedupBasisDim), f, n)
+	return SpeedupBasisInto(make([]float64, SpeedupBasisDim), f, n)
 }
 
 // SpeedupBasisInto writes the regression basis for (f, n) into x — which
-// must have length ≥ speedupBasisDim — and returns x[:speedupBasisDim].
+// must have length ≥ SpeedupBasisDim — and returns x[:SpeedupBasisDim].
 func SpeedupBasisInto(x []float64, f features.Vector, n int) []float64 {
-	x = x[:speedupBasisDim]
+	x = x[:SpeedupBasisDim]
 	copy(x, f[:])
 	nf := float64(n)
 	x[features.Dim+0] = nf
@@ -73,8 +73,8 @@ func (s *SpeedupModel) Best(f features.Vector, maxN int) (int, float64) {
 		maxN = 1
 	}
 	w := s.Model.Weights
-	if len(w) != speedupBasisDim {
-		panic(fmt.Errorf("expert: speedup model has %d basis features, want %d", len(w), speedupBasisDim))
+	if len(w) != SpeedupBasisDim {
+		panic(fmt.Errorf("expert: speedup model has %d basis features, want %d", len(w), SpeedupBasisDim))
 	}
 	prefix := s.Model.Bias
 	for i := 0; i < features.Dim; i++ {
@@ -106,8 +106,8 @@ func (s *SpeedupModel) Validate() error {
 	if s == nil || s.Model == nil {
 		return fmt.Errorf("expert: nil speedup model")
 	}
-	if s.Model.Dim() != speedupBasisDim {
-		return fmt.Errorf("expert: speedup model has %d basis features, want %d", s.Model.Dim(), speedupBasisDim)
+	if s.Model.Dim() != SpeedupBasisDim {
+		return fmt.Errorf("expert: speedup model has %d basis features, want %d", s.Model.Dim(), SpeedupBasisDim)
 	}
 	return nil
 }

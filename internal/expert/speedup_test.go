@@ -15,7 +15,7 @@ func basisBest(s *SpeedupModel, f features.Vector, maxN int) (int, float64) {
 	if maxN < 1 {
 		maxN = 1
 	}
-	buf := make([]float64, speedupBasisDim)
+	buf := make([]float64, SpeedupBasisDim)
 	bestN, bestV := 1, math.Inf(-1)
 	for n := 1; n <= maxN; n++ {
 		if v := s.Model.MustPredict(SpeedupBasisInto(buf, f, n)); v > bestV {
@@ -35,7 +35,7 @@ func randMagnitude(rng *rand.Rand) float64 {
 }
 
 func randSpeedupModel(rng *rand.Rand) *SpeedupModel {
-	w := make([]float64, speedupBasisDim)
+	w := make([]float64, SpeedupBasisDim)
 	for i := range w {
 		w[i] = randMagnitude(rng)
 	}
@@ -87,8 +87,8 @@ func TestSpeedupBestMatchesBasisExpansion(t *testing.T) {
 	// Exact ties. A surface with no n-dependence ties every candidate; the
 	// parabola 5n − n² peaks at n = 2 and n = 3 with the same value. Both
 	// must resolve to the lowest tied count, as the reference does.
-	flat := &SpeedupModel{Model: &regress.Model{Weights: make([]float64, speedupBasisDim), Bias: 1.5}}
-	parabola := &SpeedupModel{Model: &regress.Model{Weights: make([]float64, speedupBasisDim)}}
+	flat := &SpeedupModel{Model: &regress.Model{Weights: make([]float64, SpeedupBasisDim), Bias: 1.5}}
+	parabola := &SpeedupModel{Model: &regress.Model{Weights: make([]float64, SpeedupBasisDim)}}
 	parabola.Model.Weights[features.Dim+0] = 5
 	parabola.Model.Weights[features.Dim+1] = -1
 	for i := 0; i < 200; i++ {

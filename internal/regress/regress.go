@@ -153,25 +153,93 @@ type Options struct {
 }
 
 // Fit computes the least-squares model for the samples. All samples must
-// share the same dimensionality.
+// share the same dimensionality. It streams the samples, in order, through
+// an Accumulator; callers that hold their data in another shape stream it
+// themselves and skip building the []Sample.
 func Fit(samples []Sample, opts Options) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoData
 	}
 	dim := len(samples[0].X)
 	if dim == 0 {
-		return nil, errors.New("regress: zero-dimensional samples")
+		return nil, errZeroDim
 	}
+	// A ragged row is reported before a bad mask, which NewAccumulator
+	// checks.
 	for i, s := range samples {
 		if len(s.X) != dim {
-			return nil, fmt.Errorf("regress: sample %d has %d features, want %d", i, len(s.X), dim)
+			return nil, dimError(i, len(s.X), dim)
 		}
+	}
+	acc, err := NewAccumulator(dim, 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range samples {
+		acc.Add(s.X, s.Y)
+	}
+	return acc.Solve(0)
+}
+
+var errZeroDim = errors.New("regress: zero-dimensional samples")
+
+func dimError(i, got, want int) error {
+	return fmt.Errorf("regress: sample %d has %d features, want %d", i, got, want)
+}
+
+// Accumulator builds the normal equations A·θ = b of a least-squares fit,
+// A = XᵀX and b = Xᵀy over the design matrix augmented with a constant 1
+// column (active features, then the bias), one sample at a time. XᵀX, one
+// Xᵀy per target, a small block of pending rows and the solver's scratch
+// live in flat storage sized once by NewAccumulator, so Add, AddTargets,
+// SolveInto and Reset never allocate.
+//
+// Every element of A and b sums its products in the order the samples
+// arrive, so streaming samples in the order of a []Sample gives
+// coefficients bit-identical to Fit over that slice. An accumulator with k
+// targets fits k models that share one feature matrix (the thread
+// predictor and the environment dimensions of an expert): the XᵀX pass is
+// made once, and target t solves exactly as a one-target accumulator fed
+// the same rows with y = ys[t] would.
+type Accumulator struct {
+	dim, n, targets int
+	ridge           float64
+	active          []int     // feature index behind each design column but the bias
+	ata             []float64 // n×n row-major; only the upper triangle accumulates
+	atb             []float64 // targets×n
+	rows            []float64 // rowBlock×n augmented rows not yet folded in
+	ys              []float64 // rowBlock×targets targets of those rows
+	pending         int
+	count           int
+	err             error // the first malformed sample, reported by Solve
+
+	// Solver scratch: rows of m view mflat and are re-pointed for every
+	// attempt, so pivoting swaps row headers as the original slices did.
+	m     [][]float64
+	mflat []float64
+	b     []float64
+	theta []float64
+}
+
+// rowBlock is how many samples the accumulator buffers before folding them
+// into A and b: each element is loaded and stored once per block rather
+// than once per sample, and still adds its products one sample at a time,
+// in arrival order.
+const rowBlock = 4
+
+// NewAccumulator returns an empty accumulator for samples of dim features
+// and the given number of targets per sample. opts.Mask and opts.Ridge
+// apply to every target.
+func NewAccumulator(dim, targets int, opts Options) (*Accumulator, error) {
+	if dim <= 0 {
+		return nil, errZeroDim
+	}
+	if targets < 1 {
+		return nil, fmt.Errorf("regress: accumulator needs at least one target, got %d", targets)
 	}
 	if opts.Mask != nil && len(opts.Mask) != dim {
 		return nil, fmt.Errorf("regress: mask length %d, want %d", len(opts.Mask), dim)
 	}
-
-	// Active feature indices after masking.
 	active := make([]int, 0, dim)
 	for i := 0; i < dim; i++ {
 		if opts.Mask == nil || opts.Mask[i] {
@@ -179,60 +247,218 @@ func Fit(samples []Sample, opts Options) (*Model, error) {
 		}
 	}
 	n := len(active) + 1 // +1 for the bias column
-
-	// Normal equations A·θ = b with A = XᵀX, b = Xᵀy over the augmented
-	// design matrix (active features + constant 1 column).
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	b := make([]float64, n)
-	row := make([]float64, n)
-	for _, s := range samples {
-		for j, fi := range active {
-			row[j] = s.X[fi]
-		}
-		row[n-1] = 1
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				a[i][j] += row[i] * row[j]
-			}
-			b[i] += row[i] * s.Y
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			a[i][j] = a[j][i]
-		}
-	}
-
-	ridge := opts.Ridge
-	theta, err := solveWithRidge(a, b, ridge, n)
-	if err != nil {
-		return nil, err
-	}
-
-	weights := make([]float64, dim)
-	for j, fi := range active {
-		weights[fi] = theta[j]
-	}
-	return &Model{Weights: weights, Bias: theta[n-1]}, nil
+	flat := make([]float64, 2*n*n+targets*n+rowBlock*(n+targets)+2*n)
+	a := &Accumulator{dim: dim, n: n, targets: targets, ridge: opts.Ridge, active: active}
+	a.ata, flat = flat[:n*n:n*n], flat[n*n:]
+	a.atb, flat = flat[:targets*n:targets*n], flat[targets*n:]
+	a.rows, flat = flat[:rowBlock*n:rowBlock*n], flat[rowBlock*n:]
+	a.ys, flat = flat[:rowBlock*targets:rowBlock*targets], flat[rowBlock*targets:]
+	a.mflat, flat = flat[:n*n:n*n], flat[n*n:]
+	a.b, a.theta = flat[:n:n], flat[n:2*n:2*n]
+	a.m = make([][]float64, n)
+	return a, nil
 }
 
-// solveWithRidge solves (A + λI)θ = b, retrying with growing λ when the
-// system is singular. The bias row (last) is never regularized.
-func solveWithRidge(a [][]float64, b []float64, ridge float64, n int) ([]float64, error) {
-	for attempt := 0; attempt < 4; attempt++ {
-		m := make([][]float64, n)
-		for i := range m {
-			m[i] = append([]float64(nil), a[i]...)
-			if i < n-1 {
-				m[i][i] += ridge
-			}
+// Len returns how many samples have been streamed since the last Reset.
+func (a *Accumulator) Len() int { return a.count }
+
+// Reset empties the accumulator for a new fit of the same shape.
+func (a *Accumulator) Reset() {
+	clear(a.ata)
+	clear(a.atb)
+	a.pending = 0
+	a.count = 0
+	a.err = nil
+}
+
+// Add streams one sample of a one-target accumulator.
+func (a *Accumulator) Add(x []float64, y float64) {
+	if a.targets != 1 {
+		a.fail(fmt.Errorf("regress: Add on a %d-target accumulator", a.targets))
+		return
+	}
+	if a.addRow(x) {
+		a.ys[a.pending] = y
+		a.commitRow()
+	}
+}
+
+// AddTargets streams one sample with one value per target.
+func (a *Accumulator) AddTargets(x, ys []float64) {
+	if len(ys) != a.targets {
+		a.fail(fmt.Errorf("regress: sample %d has %d targets, want %d", a.count, len(ys), a.targets))
+		return
+	}
+	if a.addRow(x) {
+		copy(a.ys[a.pending*a.targets:], ys)
+		a.commitRow()
+	}
+}
+
+func (a *Accumulator) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+	a.count++
+}
+
+// addRow writes x's augmented row into the pending block.
+func (a *Accumulator) addRow(x []float64) bool {
+	if len(x) != a.dim {
+		a.fail(dimError(a.count, len(x), a.dim))
+		return false
+	}
+	n := a.n
+	row := a.rows[a.pending*n : (a.pending+1)*n]
+	for j, fi := range a.active {
+		row[j] = x[fi]
+	}
+	row[n-1] = 1
+	return true
+}
+
+func (a *Accumulator) commitRow() {
+	a.count++
+	a.pending++
+	if a.pending == rowBlock {
+		a.flush()
+	}
+}
+
+// flush folds the pending rows into A and b.
+func (a *Accumulator) flush() {
+	if a.pending == rowBlock {
+		a.fold4()
+	} else {
+		for k := 0; k < a.pending; k++ {
+			a.fold1(k)
 		}
-		theta, err := solve(m, append([]float64(nil), b...))
-		if err == nil {
-			return theta, nil
+	}
+	a.pending = 0
+}
+
+// fold1 folds pending row k alone.
+func (a *Accumulator) fold1(k int) {
+	n := a.n
+	row := a.rows[k*n : (k+1)*n]
+	for i, ri := range row {
+		tail := row[i:]
+		ai := a.ata[i*n+i : (i+1)*n]
+		ai = ai[:len(tail)]
+		for j, rj := range tail {
+			ai[j] += ri * rj
+		}
+	}
+	for t, y := range a.ys[k*a.targets : (k+1)*a.targets] {
+		b := a.atb[t*n : (t+1)*n]
+		b = b[:len(row)]
+		for i, ri := range row {
+			b[i] += ri * y
+		}
+	}
+}
+
+// fold4 folds a full block: the four rows' products enter each element
+// one after another, exactly as four fold1 calls would add them.
+func (a *Accumulator) fold4() {
+	n := a.n
+	r0 := a.rows[0*n : 1*n]
+	r1 := a.rows[1*n : 2*n]
+	r2 := a.rows[2*n : 3*n]
+	r3 := a.rows[3*n : 4*n]
+	for i := range r0 {
+		p0, p1, p2, p3 := r0[i], r1[i], r2[i], r3[i]
+		t0, t1, t2, t3 := r0[i:], r1[i:], r2[i:], r3[i:]
+		ai := a.ata[i*n+i : (i+1)*n]
+		ai = ai[:len(t0)]
+		t1, t2, t3 = t1[:len(t0)], t2[:len(t0)], t3[:len(t0)]
+		for j, q0 := range t0 {
+			v := ai[j]
+			v += p0 * q0
+			v += p1 * t1[j]
+			v += p2 * t2[j]
+			v += p3 * t3[j]
+			ai[j] = v
+		}
+	}
+	k := a.targets
+	for t := 0; t < k; t++ {
+		y0, y1, y2, y3 := a.ys[t], a.ys[k+t], a.ys[2*k+t], a.ys[3*k+t]
+		b := a.atb[t*n : (t+1)*n]
+		b = b[:len(r0)]
+		for i, q0 := range r0 {
+			v := b[i]
+			v += q0 * y0
+			v += r1[i] * y1
+			v += r2[i] * y2
+			v += r3[i] * y3
+			b[i] = v
+		}
+	}
+}
+
+// Solve fits target t's model over the samples streamed so far.
+func (a *Accumulator) Solve(t int) (*Model, error) {
+	if err := a.solve(t); err != nil {
+		return nil, err
+	}
+	weights := make([]float64, a.dim)
+	for j, fi := range a.active {
+		weights[fi] = a.theta[j]
+	}
+	return &Model{Weights: weights, Bias: a.theta[a.n-1]}, nil
+}
+
+// SolveInto is Solve writing target t's coefficients in the Table 1
+// layout (weights, then the bias) into coeffs, which must hold dim+1
+// values, instead of allocating a model.
+func (a *Accumulator) SolveInto(t int, coeffs []float64) error {
+	if len(coeffs) != a.dim+1 {
+		return fmt.Errorf("regress: %d coefficients for a %d-feature fit, want %d", len(coeffs), a.dim, a.dim+1)
+	}
+	if err := a.solve(t); err != nil {
+		return err
+	}
+	clear(coeffs)
+	for j, fi := range a.active {
+		coeffs[fi] = a.theta[j]
+	}
+	coeffs[a.dim] = a.theta[a.n-1]
+	return nil
+}
+
+// solve leaves target t's solution in a.theta. It solves (A + λI)θ = b,
+// retrying with growing λ when the system is singular; the bias row (last)
+// is never regularized.
+func (a *Accumulator) solve(t int) error {
+	if a.err != nil {
+		return a.err
+	}
+	if a.count == 0 {
+		return ErrNoData
+	}
+	if t < 0 || t >= a.targets {
+		return fmt.Errorf("regress: target %d of a %d-target accumulator", t, a.targets)
+	}
+	a.flush()
+	n := a.n
+	b := a.atb[t*n : (t+1)*n]
+	ridge := a.ridge
+	for attempt := 0; attempt < 4; attempt++ {
+		for i := 0; i < n; i++ {
+			mi := a.mflat[i*n : (i+1)*n : (i+1)*n]
+			for j := 0; j < i; j++ {
+				mi[j] = a.ata[j*n+i] // the lower triangle mirrors the upper
+			}
+			copy(mi[i:], a.ata[i*n+i:(i+1)*n])
+			if i < n-1 {
+				mi[i] += ridge
+			}
+			a.m[i] = mi
+		}
+		copy(a.b, b)
+		if gaussSolve(a.m, a.b, a.theta) {
+			return nil
 		}
 		if ridge == 0 {
 			ridge = 1e-8
@@ -240,12 +466,13 @@ func solveWithRidge(a [][]float64, b []float64, ridge float64, n int) ([]float64
 			ridge *= 1e3
 		}
 	}
-	return nil, ErrSingular
+	return ErrSingular
 }
 
-// solve performs in-place Gaussian elimination with partial pivoting on the
-// augmented system m·x = b.
-func solve(m [][]float64, b []float64) ([]float64, error) {
+// gaussSolve performs in-place Gaussian elimination with partial pivoting
+// on the augmented system m·x = b, writing x. It reports false when the
+// system is singular.
+func gaussSolve(m [][]float64, b, x []float64) bool {
 	n := len(m)
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest absolute value in this column.
@@ -257,31 +484,33 @@ func solve(m [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if best < 1e-12 {
-			return nil, ErrSingular
+			return false
 		}
 		if pivot != col {
 			m[col], m[pivot] = m[pivot], m[col]
 			b[col], b[pivot] = b[pivot], b[col]
 		}
-		inv := 1 / m[col][col]
+		mc := m[col]
+		inv := 1 / mc[col]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
+			mr := m[r]
+			f := mr[col] * inv
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
+				mr[c] -= f * mc[c]
 			}
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
+		mr := m[r]
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= m[r][c] * x[c]
+			sum -= mr[c] * x[c]
 		}
-		x[r] = sum / m[r][r]
+		x[r] = sum / mr[r]
 	}
-	return x, nil
+	return true
 }

@@ -138,43 +138,74 @@ type GroupKeyFn func(i int) string
 // group, fit on all other groups and evaluate on the held-out group. The
 // returned metrics are aggregated over all held-out predictions.
 func LeaveOneOut(samples []Sample, key GroupKeyFn, opts Options) (Metrics, error) {
-	if len(samples) == 0 {
+	return LeaveOneOutFunc(len(samples), func(i int) ([]float64, float64) {
+		return samples[i].X, samples[i].Y
+	}, key, opts)
+}
+
+// SampleFunc returns sample i of a data set: its features and target. The
+// feature slice is only read, and only until the next call.
+type SampleFunc func(i int) (x []float64, y float64)
+
+// LeaveOneOutFunc is LeaveOneOut over n samples read through at, so a
+// caller cross-validates straight from its own storage. Folds run in the
+// order their groups first appear and each training fold streams through
+// one reused Accumulator, so the held-out errors aggregate in the same
+// order, and the metrics come out bit-identical, on every call.
+func LeaveOneOutFunc(n int, at SampleFunc, key GroupKeyFn, opts Options) (Metrics, error) {
+	if n == 0 {
 		return Metrics{}, ErrNoData
 	}
 	if key == nil {
 		return Metrics{}, errors.New("regress: nil group key function")
 	}
-	groups := make(map[string][]int)
-	for i := range samples {
+	ids := make(map[string]int)
+	var names []string
+	fold := make([]int, n)
+	for i := range fold {
 		k := key(i)
-		groups[k] = append(groups[k], i)
+		id, ok := ids[k]
+		if !ok {
+			id = len(names)
+			ids[k] = id
+			names = append(names, k)
+		}
+		fold[i] = id
 	}
-	if len(groups) < 2 {
+	if len(names) < 2 {
 		return Metrics{}, errors.New("regress: leave-one-out needs at least two groups")
 	}
 
-	var all []heldOut
-	for g, held := range groups {
-		train := make([]Sample, 0, len(samples)-len(held))
-		heldSet := make(map[int]bool, len(held))
-		for _, i := range held {
-			heldSet[i] = true
-		}
-		for i, s := range samples {
-			if !heldSet[i] {
-				train = append(train, s)
+	x0, _ := at(0)
+	dim := len(x0)
+	acc, err := NewAccumulator(dim, 1, opts)
+	if err != nil {
+		return Metrics{}, fmt.Errorf("regress: fold %q: %w", names[0], err)
+	}
+	coeffs := make([]float64, dim+1)
+	model := Model{Weights: coeffs[:dim]}
+	all := make([]heldOut, 0, n)
+	for g, name := range names {
+		acc.Reset()
+		for i, f := range fold {
+			if f != g {
+				acc.Add(at(i))
 			}
 		}
-		model, err := Fit(train, opts)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("regress: fold %q: %w", g, err)
+		if err := acc.SolveInto(0, coeffs); err != nil {
+			return Metrics{}, fmt.Errorf("regress: fold %q: %w", name, err)
 		}
-		for _, i := range held {
-			pred, err := model.Predict(samples[i].X)
+		model.Bias = coeffs[dim]
+		for i, f := range fold {
+			if f != g {
+				continue
+			}
+			x, y := at(i)
+			pred, err := model.Predict(x)
 			if err != nil {
 				return Metrics{}, err
 			}
-			all = append(all, heldOut{pred: pred, truth: samples[i].Y})
+			all = append(all, heldOut{pred: pred, truth: y})
 		}
 	}
 	return aggregate(all), nil

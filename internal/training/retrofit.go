@@ -6,7 +6,6 @@ import (
 
 	"moe/internal/expert"
 	"moe/internal/features"
-	"moe/internal/regress"
 	"moe/internal/stats"
 )
 
@@ -40,31 +39,28 @@ func Retrofit(name string, h Heuristic, ds *DataSet, maxThreads int) (*expert.Ex
 		return nil, fmt.Errorf("training: retrofit needs a positive thread cap")
 	}
 
-	var env expert.VectorEnvModel
-	for dim := 0; dim < features.EnvDim; dim++ {
-		samples := ds.envSamples(dim)
-		m, err := regress.Fit(samples, regress.Options{Ridge: 1e-6})
-		if err != nil {
-			return nil, fmt.Errorf("training: retrofit env dim %d: %w", dim, err)
-		}
-		env.Models[dim] = m
-		var sumSq float64
-		for _, s := range samples {
-			r := m.MustPredict(s.X) - s.Y
-			sumSq += r * r
-		}
-		env.Sigma[dim] = math.Sqrt(sumSq / float64(len(samples)))
+	// One walk streams the environment predictor and a linear shim fitted
+	// to the heuristic's own outputs over the training states, so callers
+	// inspecting the Table-1-style coefficients see a faithful
+	// approximation; the mixture itself calls PredictThreads, which defers
+	// to the exact heuristic via HeuristicFn.
+	acc, err := newExpertAccumulator()
+	if err != nil {
+		return nil, err
 	}
-
-	// Linear shim fitted to the heuristic's own outputs over the training
-	// states, so callers inspecting the Table-1-style coefficients see a
-	// faithful approximation; the mixture itself calls PredictThreads,
-	// which defers to the exact heuristic via HeuristicFn.
-	shimSamples := make([]regress.Sample, len(ds.Samples))
-	for i, s := range ds.Samples {
-		shimSamples[i] = regress.Sample{X: s.Features.Slice(), Y: float64(h(s.Features))}
+	var (
+		ys      [fitTargets]float64
+		featSum [features.Dim]float64
+	)
+	for i := range ds.Samples {
+		s := &ds.Samples[i]
+		streamSample(acc, s, float64(h(s.Features)), &ys, &featSum)
 	}
-	shim, err := regress.Fit(shimSamples, regress.Options{Ridge: 1e-6})
+	env, dim, err := solveEnv(acc)
+	if err != nil {
+		return nil, fmt.Errorf("training: retrofit env dim %d: %w", dim, err)
+	}
+	shim, err := acc.Solve(0)
 	if err != nil {
 		return nil, fmt.Errorf("training: retrofit thread shim: %w", err)
 	}
@@ -73,28 +69,10 @@ func Retrofit(name string, h Heuristic, ds *DataSet, maxThreads int) (*expert.Ex
 		Name:        name,
 		Threads:     shim,
 		HeuristicFn: h,
-		Env:         env,
 		MaxThreads:  maxThreads,
 		TrainedOn:   "hand-written heuristic, environment predictor retrofitted",
 	}
-	n := float64(len(ds.Samples))
-	for _, s := range ds.Samples {
-		for i := 0; i < features.Dim; i++ {
-			e.FeatMean[i] += s.Features[i]
-		}
-	}
-	for i := range e.FeatMean {
-		e.FeatMean[i] /= n
-	}
-	for _, s := range ds.Samples {
-		for i := 0; i < features.Dim; i++ {
-			d := s.Features[i] - e.FeatMean[i]
-			e.FeatStd[i] += d * d
-		}
-	}
-	for i := range e.FeatStd {
-		e.FeatStd[i] = math.Sqrt(e.FeatStd[i] / n)
-	}
+	finishFit(e, env, ds, featSum)
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}

@@ -462,15 +462,6 @@ func (ds *DataSet) Split(key func(LabeledSample) string) map[string]*DataSet {
 	return out
 }
 
-// threadSamples converts to regression samples for the thread predictor.
-func (ds *DataSet) threadSamples() []regress.Sample {
-	out := make([]regress.Sample, len(ds.Samples))
-	for i, s := range ds.Samples {
-		out[i] = regress.Sample{X: s.Features.Slice(), Y: s.BestThreads}
-	}
-	return out
-}
-
 // envValue extracts one environment dimension from a sample's NextEnv;
 // dim indexes the environment features from features.EnvStart.
 func envValue(e features.Env, dim int) float64 {
@@ -492,99 +483,130 @@ func envValue(e features.Env, dim int) float64 {
 	}
 }
 
-// envSamples converts to regression samples for one dimension of the
-// environment predictor.
-func (ds *DataSet) envSamples(dim int) []regress.Sample {
-	out := make([]regress.Sample, len(ds.Samples))
-	for i, s := range ds.Samples {
-		out[i] = regress.Sample{X: s.Features.Slice(), Y: envValue(s.NextEnv, dim)}
-	}
-	return out
+// fitTargets is how many linear models an expert fits over the same
+// features: its thread predictor (target 0) and one model per environment
+// dimension (targets 1..EnvDim). They share one regress.Accumulator, so
+// the XᵀX pass over the training data is made once for all of them.
+const fitTargets = 1 + features.EnvDim
+
+func newExpertAccumulator() (*regress.Accumulator, error) {
+	return regress.NewAccumulator(features.Dim, fitTargets, regress.Options{Ridge: 1e-6})
 }
 
-// envNormSamples converts to regression samples with the next environment
-// norm as target — used for cross-validation reporting and for norm-style
-// (Table 1 shaped) environment models.
-func (ds *DataSet) envNormSamples() []regress.Sample {
-	out := make([]regress.Sample, len(ds.Samples))
-	for i, s := range ds.Samples {
-		out[i] = regress.Sample{X: s.Features.Slice(), Y: s.NextEnv.Norm()}
-	}
-	return out
-}
-
-// FitExpert fits one expert's predictor pair on the dataset: the thread
-// predictor w on oracle-best thread counts and the vector environment
-// predictor m, one linear model per environment dimension.
-func FitExpert(name string, ds *DataSet, maxThreads int, trainedOn string) (*expert.Expert, error) {
-	if len(ds.Samples) == 0 {
-		return nil, fmt.Errorf("training: expert %s has no training data", name)
-	}
-	w, err := regress.Fit(ds.threadSamples(), regress.Options{Ridge: 1e-6})
-	if err != nil {
-		return nil, fmt.Errorf("training: fitting %s thread predictor: %w", name, err)
-	}
-
-	// Speedup surface x(n, f) (§4.1): sample a subset of thread counts
-	// per state so the design stays balanced.
-	var speedupSamples []regress.Sample
-	for _, s := range ds.Samples {
-		for j := 0; j < len(s.Speedups); j++ {
-			// Every 2nd count plus the extremes keeps ~17 points per
-			// curve on a 32-core machine.
-			if j != 0 && j != len(s.Speedups)-1 && j%2 != 0 {
-				continue
-			}
-			speedupSamples = append(speedupSamples, regress.Sample{
-				X: expert.SpeedupBasis(s.Features, j+1),
-				Y: s.Speedups[j],
-			})
-		}
-	}
-	var xm *expert.SpeedupModel
-	if len(speedupSamples) > 0 {
-		m, err := regress.Fit(speedupSamples, regress.Options{Ridge: 1e-6})
-		if err != nil {
-			return nil, fmt.Errorf("training: fitting %s speedup model: %w", name, err)
-		}
-		xm = &expert.SpeedupModel{Model: m}
-	}
-	var env expert.VectorEnvModel
+// streamSample streams one training sample into acc, with threads as the
+// thread predictor's target, and adds its features to sums. ys is scratch.
+func streamSample(acc *regress.Accumulator, s *LabeledSample, threads float64, ys *[fitTargets]float64, sums *[features.Dim]float64) {
+	ys[0] = threads
 	for dim := 0; dim < features.EnvDim; dim++ {
-		samples := ds.envSamples(dim)
-		m, err := regress.Fit(samples, regress.Options{Ridge: 1e-6})
+		ys[1+dim] = envValue(s.NextEnv, dim)
+	}
+	acc.AddTargets(s.Features[:], ys[:])
+	for i, v := range s.Features {
+		sums[i] += v
+	}
+}
+
+// solveEnv solves the vector environment predictor m, one linear model per
+// environment dimension, from an expert accumulator. On failure it also
+// returns the failing dimension.
+func solveEnv(acc *regress.Accumulator) (expert.VectorEnvModel, int, error) {
+	var env expert.VectorEnvModel
+	for dim := range env.Models {
+		m, err := acc.Solve(1 + dim)
 		if err != nil {
-			return nil, fmt.Errorf("training: fitting %s environment predictor dim %d: %w", name, dim, err)
+			return env, dim, err
 		}
 		env.Models[dim] = m
-		// Training residual scale for the likelihood gating.
-		var sumSq float64
-		for _, s := range samples {
-			r := m.MustPredict(s.X) - s.Y
-			sumSq += r * r
-		}
-		env.Sigma[dim] = math.Sqrt(sumSq / float64(len(samples)))
 	}
-	e := &expert.Expert{Name: name, Threads: w, Speedup: xm, Env: env, MaxThreads: maxThreads, TrainedOn: trainedOn}
-	// Feature statistics for the out-of-distribution blend.
+	return env, 0, nil
+}
+
+// finishFit completes an expert in a second walk over its training data:
+// the training residual scale of every environment dimension, for the
+// likelihood gating, and the feature statistics, for the
+// out-of-distribution blend. featSum holds the feature sums of the first
+// walk.
+func finishFit(e *expert.Expert, env expert.VectorEnvModel, ds *DataSet, featSum [features.Dim]float64) {
 	n := float64(len(ds.Samples))
-	for _, s := range ds.Samples {
-		for i := 0; i < features.Dim; i++ {
-			e.FeatMean[i] += s.Features[i]
+	for i, v := range featSum {
+		e.FeatMean[i] = v / n
+	}
+	var sumSq [features.EnvDim]float64
+	for k := range ds.Samples {
+		s := &ds.Samples[k]
+		for dim, m := range env.Models {
+			r := m.MustPredict(s.Features[:]) - envValue(s.NextEnv, dim)
+			sumSq[dim] += r * r
 		}
-	}
-	for i := range e.FeatMean {
-		e.FeatMean[i] /= n
-	}
-	for _, s := range ds.Samples {
 		for i := 0; i < features.Dim; i++ {
 			d := s.Features[i] - e.FeatMean[i]
 			e.FeatStd[i] += d * d
 		}
 	}
+	for dim, v := range sumSq {
+		env.Sigma[dim] = math.Sqrt(v / n)
+	}
 	for i := range e.FeatStd {
 		e.FeatStd[i] = math.Sqrt(e.FeatStd[i] / n)
 	}
+	e.Env = env
+}
+
+// FitExpert fits one expert's predictor pair on the dataset: the thread
+// predictor w on oracle-best thread counts and the vector environment
+// predictor m, one linear model per environment dimension, plus the
+// speedup surface x(n, f). One walk streams every fit; a second computes
+// the residual scales and feature spreads.
+func FitExpert(name string, ds *DataSet, maxThreads int, trainedOn string) (*expert.Expert, error) {
+	if len(ds.Samples) == 0 {
+		return nil, fmt.Errorf("training: expert %s has no training data", name)
+	}
+	acc, err := newExpertAccumulator()
+	if err != nil {
+		return nil, err
+	}
+	speedup, err := regress.NewAccumulator(expert.SpeedupBasisDim, 1, regress.Options{Ridge: 1e-6})
+	if err != nil {
+		return nil, err
+	}
+	var (
+		ys      [fitTargets]float64
+		featSum [features.Dim]float64
+		basis   [expert.SpeedupBasisDim]float64
+	)
+	for i := range ds.Samples {
+		s := &ds.Samples[i]
+		streamSample(acc, s, s.BestThreads, &ys, &featSum)
+		// Speedup surface x(n, f) (§4.1): sample a subset of thread
+		// counts per state so the design stays balanced.
+		for j, sp := range s.Speedups {
+			// Every 2nd count plus the extremes keeps ~17 points per
+			// curve on a 32-core machine.
+			if j != 0 && j != len(s.Speedups)-1 && j%2 != 0 {
+				continue
+			}
+			speedup.Add(expert.SpeedupBasisInto(basis[:], s.Features, j+1), sp)
+		}
+	}
+
+	w, err := acc.Solve(0)
+	if err != nil {
+		return nil, fmt.Errorf("training: fitting %s thread predictor: %w", name, err)
+	}
+	var xm *expert.SpeedupModel
+	if speedup.Len() > 0 {
+		m, err := speedup.Solve(0)
+		if err != nil {
+			return nil, fmt.Errorf("training: fitting %s speedup model: %w", name, err)
+		}
+		xm = &expert.SpeedupModel{Model: m}
+	}
+	env, dim, err := solveEnv(acc)
+	if err != nil {
+		return nil, fmt.Errorf("training: fitting %s environment predictor dim %d: %w", name, dim, err)
+	}
+	e := &expert.Expert{Name: name, Threads: w, Speedup: xm, MaxThreads: maxThreads, TrainedOn: trainedOn}
+	finishFit(e, env, ds, featSum)
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}

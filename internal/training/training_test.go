@@ -234,7 +234,10 @@ func TestCrossValidateThreadMasked(t *testing.T) {
 	}
 	// In-sample, OLS with more features can never fit worse: verify with
 	// a direct fit on the same samples.
-	samples := ds.threadSamples()
+	samples := make([]regress.Sample, len(ds.Samples))
+	for i, s := range ds.Samples {
+		samples[i] = regress.Sample{X: s.Features.Slice(), Y: s.BestThreads}
+	}
 	fullFit, err := regress.Fit(samples, regress.Options{Ridge: 1e-6})
 	if err != nil {
 		t.Fatal(err)

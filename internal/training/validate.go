@@ -31,15 +31,28 @@ func CrossValidate(ds *DataSet, kind PredictorKind) (regress.Metrics, error) {
 	if len(ds.Samples) == 0 {
 		return regress.Metrics{}, fmt.Errorf("training: cross-validation on empty dataset")
 	}
-	var samples []regress.Sample
-	if kind == ThreadPredictor {
-		samples = ds.threadSamples()
-	} else {
-		samples = ds.envNormSamples()
-	}
-	key := func(i int) string { return ds.Samples[i].Program }
-	return regress.LeaveOneOut(samples, key, regress.Options{Ridge: 1e-6})
+	return regress.LeaveOneOutFunc(len(ds.Samples), ds.predictorSample(kind), ds.programKey, regress.Options{Ridge: 1e-6})
 }
+
+// predictorSample reads the chosen predictor's regression samples straight
+// from the dataset: the features with the oracle thread count, or with the
+// next environment's norm.
+func (ds *DataSet) predictorSample(kind PredictorKind) regress.SampleFunc {
+	if kind == ThreadPredictor {
+		return func(i int) ([]float64, float64) {
+			s := &ds.Samples[i]
+			return s.Features[:], s.BestThreads
+		}
+	}
+	return func(i int) ([]float64, float64) {
+		s := &ds.Samples[i]
+		return s.Features[:], s.NextEnv.Norm()
+	}
+}
+
+// programKey groups samples by target program, the paper's leave-one-out
+// granularity.
+func (ds *DataSet) programKey(i int) string { return ds.Samples[i].Program }
 
 // CrossValidateThreadMasked is CrossValidate for the thread predictor with
 // a feature mask (true = keep), backing the feature-set ablation.
@@ -47,8 +60,7 @@ func CrossValidateThreadMasked(ds *DataSet, mask []bool) (regress.Metrics, error
 	if len(ds.Samples) == 0 {
 		return regress.Metrics{}, fmt.Errorf("training: cross-validation on empty dataset")
 	}
-	key := func(i int) string { return ds.Samples[i].Program }
-	return regress.LeaveOneOut(ds.threadSamples(), key, regress.Options{Ridge: 1e-6, Mask: mask})
+	return regress.LeaveOneOutFunc(len(ds.Samples), ds.predictorSample(ThreadPredictor), ds.programKey, regress.Options{Ridge: 1e-6, Mask: mask})
 }
 
 // ImpactAccuracyFn returns a features.AccuracyFn for the dataset: it
@@ -57,13 +69,7 @@ func CrossValidateThreadMasked(ds *DataSet, mask []bool) (regress.Metrics, error
 // drop in prediction accuracy of the model when this feature alone was
 // removed from the feature-set").
 func ImpactAccuracyFn(ds *DataSet, kind PredictorKind) features.AccuracyFn {
-	var samples []regress.Sample
-	if kind == ThreadPredictor {
-		samples = ds.threadSamples()
-	} else {
-		samples = ds.envNormSamples()
-	}
-	key := func(i int) string { return ds.Samples[i].Program }
+	samples := ds.predictorSample(kind)
 	return func(without int) (float64, error) {
 		opts := regress.Options{Ridge: 1e-6}
 		if without >= 0 {
@@ -73,7 +79,7 @@ func ImpactAccuracyFn(ds *DataSet, kind PredictorKind) features.AccuracyFn {
 			}
 			opts.Mask = mask
 		}
-		m, err := regress.LeaveOneOut(samples, key, opts)
+		m, err := regress.LeaveOneOutFunc(len(ds.Samples), samples, ds.programKey, opts)
 		if err != nil {
 			return 0, err
 		}

@@ -65,7 +65,10 @@ evolve-smoke:
 # serving pipeline, frame in to answer out) and least-squares accumulator
 # (a full history ring streamed and solved, as every expert birth does)
 # microbenchmarks that fail if any steady-state loop ever allocates again. Timing is not asserted (CI
-# machines are too noisy); the allocs/op == 0 invariant is.
+# machines are too noisy); the allocs/op == 0 invariant is. BenchmarkTrainSetup
+# (offline training end to end: Train, BuildExperts and FitGatingPrior, seed 7,
+# one worker, event stepping) is reported in bench-train.txt; it allocates by
+# design, so it stays out of the allocation guard.
 bench-smoke:
 	$(GO) test ./internal/sim -run=NONE -bench 'StepLoop' -benchmem -benchtime=100x -count=2 | tee bench-smoke.txt
 	$(GO) test . -run=NONE -bench 'DecideBatchSteady|^BenchmarkDecide$$|DecideInstrumented' -benchmem -benchtime=100x -count=2 | tee -a bench-smoke.txt
@@ -76,3 +79,4 @@ bench-smoke:
 		echo 'bench-smoke: a steady-state hot loop allocates'; exit 1; \
 	fi
 	@grep -c ' 0 allocs/op' bench-smoke.txt > /dev/null
+	$(GO) test . -run=NONE -bench 'TrainSetup' -benchmem -benchtime=5x -count=2 | tee bench-train.txt

@@ -303,7 +303,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "moebench: trained in %.1fs (%d samples)\n",
-		time.Since(start).Seconds(), len(lab.DS.Samples))
+		time.Since(start).Seconds(), lab.DS.Len())
 	lab.Stepping = mode
 
 	ids := []string{*experiment}

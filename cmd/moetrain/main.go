@@ -49,7 +49,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "moetrain: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("generated %d training samples in %.1fs\n\n", len(ds.Samples), time.Since(start).Seconds())
+	fmt.Printf("generated %d training samples in %.1fs\n\n", ds.Len(), time.Since(start).Seconds())
 
 	var set expert.Set
 	switch *k {

@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d labelled samples\n", len(data.Samples))
+	fmt.Printf("  %d labelled samples\n", data.Len())
 
 	// 2. Build the paper's four experts (scalable/non-scalable programs ×
 	//    12/32-core platforms) and the mixture policy over them.

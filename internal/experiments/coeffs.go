@@ -96,10 +96,10 @@ func (l *Lab) FeatureImpact() (*Table, error) {
 	t := &Table{Title: "Fig 6 — feature impact π per expert"}
 	var perExpert [][]features.Impact
 	for _, sp := range splits {
-		sub := l.DS.Filter(func(s training.LabeledSample) bool {
+		sub := l.DS.Filter(func(s *training.LabeledSample) bool {
 			return s.Scalable == sp.scalable && s.PlatformCores == sp.cores
 		})
-		if len(sub.Samples) == 0 {
+		if sub.Len() == 0 {
 			sub = l.DS
 		}
 		impacts, err := training.FeatureImpacts(sub, training.ThreadPredictor)

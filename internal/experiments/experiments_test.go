@@ -94,8 +94,8 @@ func TestLabLeaveOneOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range sub.Samples {
-		if s.Program == "lu" {
+	for k := 0; k < sub.Len(); k++ {
+		if sub.At(k).Program == "lu" {
 			t.Fatal("lu sample in lu's training subset (§5.2.3 violated)")
 		}
 	}

@@ -83,11 +83,14 @@ type Sample struct {
 	EnvNorm  float64 // ‖e‖ of the environment features at this time
 	Threads  int     // thread count in force
 	Rate     float64 // instantaneous work rate
+	// BestRate, OracleN and RateCurve are the oracle labels, set only on
+	// the target program's samples and only under RecordOracle; other
+	// samples leave them zero.
 	BestRate float64 // rate the oracle thread count would achieve
 	OracleN  int     // oracle-optimal thread count at this instant
 	// RateCurve holds the ground-truth parallel-phase rate for every
-	// thread count 1..cores (RecordOracle only); it labels the paper's
-	// speedup model x(n, f) (§4.1).
+	// thread count 1..cores, RateCurve[n-1] for n threads; it labels the
+	// paper's speedup model x(n, f) (§4.1). Each sample owns its copy.
 	RateCurve  []float64
 	Region     int // flat region-execution index
 	Available  int // processors online
@@ -164,9 +167,12 @@ type Scenario struct {
 	// RecordSamples enables per-interval traces on all programs (memory
 	// proportional to duration; off for bulk sweeps).
 	RecordSamples bool
-	// RecordOracle additionally computes the oracle thread count at each
-	// control point (used for training-data generation; costs one rate
-	// evaluation per candidate thread count).
+	// RecordOracle additionally labels the Target program's samples with
+	// the oracle thread count, its rate and the full rate curve (training
+	// data generation). Co-runners are recorded without labels: training
+	// reads only the target. A label costs one rate evaluation per
+	// candidate thread count, shared with an OracleAware policy's oracle
+	// at the same control point and memoized across control points.
 	RecordOracle bool
 	// RateNoise is the relative standard deviation of multiplicative
 	// measurement noise applied to the Rate reported to policies (real
@@ -885,9 +891,17 @@ func consult(in *instance, insts []*instance, es *engineState, env features.Env,
 		RegionStart:    in.regionPending,
 		RegionIndex:    in.regionIdx,
 	}
+	// One curve lookup per control point serves both the policy's oracle
+	// and the target's training label.
+	oa, isOracle := in.spec.Policy.(OracleAware)
+	label := s.RecordSamples && s.RecordOracle && in.spec.Target
+	var curve []float64
+	if isOracle || label {
+		curve = curveFor(in, insts, es, avail)
+	}
 	var n int
-	if oa, isOracle := in.spec.Policy.(OracleAware); isOracle {
-		oracleN, _ := oracleThreads(in, insts, es, avail)
+	if isOracle {
+		oracleN, _ := oracleThreads(curve)
 		n = oa.DecideWithOracle(d, oracleN)
 	} else {
 		n = in.spec.Policy.Decide(d)
@@ -912,11 +926,14 @@ func consult(in *instance, insts []*instance, es *engineState, env features.Env,
 			WorkldThr:  int(feat[features.WorkloadThreads]),
 			RegionName: prog.RegionAt(in.regionIdx).Name,
 		}
-		if s.RecordOracle {
-			bestN, bestRate := oracleThreads(in, insts, es, avail)
-			sample.OracleN = bestN
-			sample.RateCurve = append([]float64(nil), curveFor(in, insts, es, avail)...)
-			sample.BestRate = bestRate
+		if label {
+			// The curve is keyed on everything but this program's own
+			// demand, so the decision just made does not move it.
+			sample.OracleN, sample.BestRate = oracleThreads(curve)
+			sample.RateCurve = append([]float64(nil), curve...)
+		}
+		if in.result.Samples == nil {
+			in.result.Samples = make([]Sample, 0, sampleCapacity(s.MaxTime-t, ctrl, prog.RegionCount()))
 		}
 		in.result.Samples = append(in.result.Samples, sample)
 	}
@@ -927,14 +944,29 @@ func consult(in *instance, insts []*instance, es *engineState, env features.Env,
 	in.regionPending = false
 }
 
-// oracleThreads evaluates every thread count and returns the best — the
-// simulator analog of exhaustively running all thread counts, used to label
-// training data. "Best" is the smallest count within 1% of the peak rate:
-// rate curves flatten near their top, and the smallest near-optimal count
-// is both a stable regression label and the efficient choice (equal speed,
-// less system load).
-func oracleThreads(in *instance, insts []*instance, es *engineState, avail int) (int, float64) {
-	rates := curveFor(in, insts, es, avail)
+// maxPresizedSamples bounds the per-program sample trace reserved up front,
+// so a long MaxTime on a program that finishes early cannot reserve
+// megabytes it never fills; longer traces grow by append past it.
+const maxPresizedSamples = 4096
+
+// sampleCapacity sizes the sample trace of a program first consulted with
+// left seconds of scenario to go: one sample per control interval plus one
+// per region boundary, enough for a program that does not loop.
+func sampleCapacity(left, ctrl float64, regions int) int {
+	n := int(left/ctrl) + 1 + regions
+	if n > maxPresizedSamples || n < 0 {
+		n = maxPresizedSamples
+	}
+	return n
+}
+
+// oracleThreads picks the best thread count on a rate curve (rates[n-1] is
+// the rate with n threads) — the simulator analog of exhaustively running
+// all thread counts, used to label training data. "Best" is the smallest
+// count within 1% of the peak rate: rate curves flatten near their top, and
+// the smallest near-optimal count is both a stable regression label and the
+// efficient choice (equal speed, less system load).
+func oracleThreads(rates []float64) (int, float64) {
 	peak := -1.0
 	for _, r := range rates {
 		if r > peak {

@@ -39,7 +39,7 @@ type GatingPrior struct {
 //
 // epochs ≤ 0 selects the default (8 passes).
 func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, error) {
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return nil, fmt.Errorf("training: gating needs training samples")
 	}
 	if err := set.Validate(); err != nil {
@@ -55,8 +55,10 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 
 	// Standardization statistics over the training features.
 	var mean, std [features.Dim]float64
-	n := float64(len(ds.Samples))
-	for _, s := range ds.Samples {
+	rows := ds.Len()
+	n := float64(rows)
+	for si := 0; si < rows; si++ {
+		s := ds.At(si)
 		for i := 0; i < features.Dim; i++ {
 			mean[i] += s.Features[i]
 		}
@@ -64,7 +66,8 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 	for i := range mean {
 		mean[i] /= n
 	}
-	for _, s := range ds.Samples {
+	for si := 0; si < rows; si++ {
+		s := ds.At(si)
 		for i := 0; i < features.Dim; i++ {
 			d := s.Features[i] - mean[i]
 			std[i] += d * d
@@ -82,7 +85,7 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 	// *regret* of picking another expert (relative speedup lost) weights
 	// the perceptron updates, so routing mistakes that barely matter
 	// teach gently while catastrophic ones teach hard.
-	speedupAt := func(s LabeledSample, n int) float64 {
+	speedupAt := func(s *LabeledSample, n int) float64 {
 		if len(s.Speedups) == 0 {
 			return 1
 		}
@@ -94,14 +97,24 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 		}
 		return s.Speedups[n-1]
 	}
-	labels := make([]int, len(ds.Samples))
-	gains := make([][]float64, len(ds.Samples)) // per-expert achieved speedup
-	for si, s := range ds.Samples {
-		gains[si] = make([]float64, k)
+	// Each row is standardized once, with a trailing bias input of 1;
+	// every epoch reads the same rows.
+	const width = features.Dim + 1
+	xs := make([][width]float64, rows)
+	labels := make([]int, rows)
+	gains := make([]float64, rows*k) // per-sample, per-expert achieved speedup
+	for si := 0; si < rows; si++ {
+		s := ds.At(si)
+		x := &xs[si]
+		for i := 0; i < features.Dim; i++ {
+			x[i] = (s.Features[i] - mean[i]) / std[i]
+		}
+		x[features.Dim] = 1
+		g := gains[si*k : (si+1)*k]
 		best, bestV := 0, math.Inf(-1)
 		for ki, e := range set {
 			v := speedupAt(s, e.PredictThreads(s.Features, 0))
-			gains[si][ki] = v
+			g[ki] = v
 			if v > bestV {
 				best, bestV = ki, v
 			}
@@ -110,21 +123,13 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 	}
 
 	// Averaged cost-sensitive multiclass perceptron.
-	theta := make([][]float64, k)
-	sum := make([][]float64, k)
-	for i := range theta {
-		theta[i] = make([]float64, features.Dim+1)
-		sum[i] = make([]float64, features.Dim+1)
-	}
-	x := make([]float64, features.Dim+1)
+	theta := make([][width]float64, k)
+	sum := make([][width]float64, k)
 	updates := 0.0
 	const rate = 0.1
 	for ep := 0; ep < epochs; ep++ {
-		for si, s := range ds.Samples {
-			for i := 0; i < features.Dim; i++ {
-				x[i] = (s.Features[i] - mean[i]) / std[i]
-			}
-			x[features.Dim] = 1
+		for si := range xs {
+			x := &xs[si]
 			pred, predV := 0, math.Inf(-1)
 			for ki := range theta {
 				v := 0.0
@@ -135,11 +140,11 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 					pred, predV = ki, v
 				}
 			}
-			if pred != labels[si] {
-				label := labels[si]
+			if label := labels[si]; pred != label {
+				g := gains[si*k : (si+1)*k]
 				regret := 0.0
-				if gains[si][label] > 0 {
-					regret = (gains[si][label] - gains[si][pred]) / gains[si][label]
+				if g[label] > 0 {
+					regret = (g[label] - g[pred]) / g[label]
 				}
 				if regret > 0 {
 					for i := range x {
@@ -156,13 +161,15 @@ func FitGatingPrior(ds *DataSet, set expert.Set, epochs int) (*GatingPrior, erro
 			updates++
 		}
 	}
+	avg := make([][]float64, k)
 	for ki := range sum {
 		for i := range sum[ki] {
 			sum[ki][i] /= updates
 		}
+		avg[ki] = sum[ki][:]
 	}
 
-	return &GatingPrior{K: k, Theta: sum, Mean: mean, Std: std, Weight: n}, nil
+	return &GatingPrior{K: k, Theta: avg, Mean: mean, Std: std, Weight: n}, nil
 }
 
 // NewSelector builds a fresh selector seeded from the prior. The selector

@@ -32,7 +32,7 @@ func Retrofit(name string, h Heuristic, ds *DataSet, maxThreads int) (*expert.Ex
 	if h == nil {
 		return nil, fmt.Errorf("training: nil heuristic")
 	}
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return nil, fmt.Errorf("training: retrofit needs training data for the environment predictor")
 	}
 	if maxThreads <= 0 {
@@ -52,8 +52,8 @@ func Retrofit(name string, h Heuristic, ds *DataSet, maxThreads int) (*expert.Ex
 		ys      [fitTargets]float64
 		featSum [features.Dim]float64
 	)
-	for i := range ds.Samples {
-		s := &ds.Samples[i]
+	for k := 0; k < ds.Len(); k++ {
+		s := ds.At(k)
 		streamSample(acc, s, float64(h(s.Features)), &ys, &featSum)
 	}
 	env, dim, err := solveEnv(acc)

@@ -57,9 +57,36 @@ type LabeledSample struct {
 	MemIntensity float64
 }
 
-// DataSet is a collection of labelled samples.
+// DataSet is a collection of labelled samples. Generate returns a set that
+// owns its Samples. Filter and ExcludeProgram return views: sets that share
+// their parent's Samples and list their own members by index, so slicing
+// the training data by program, platform or scalability class copies no
+// LabeledSample. Read a set through Len and At, which serve both kinds.
 type DataSet struct {
+	// Samples is the backing store. A set from Generate holds exactly its
+	// own samples here; a view shares its parent's store and reads only
+	// the positions its index lists.
 	Samples []LabeledSample
+	// idx lists a view's members as positions in Samples, in order. nil
+	// means the set is all of Samples.
+	idx []int32
+}
+
+// Len returns the number of samples in the set.
+func (ds *DataSet) Len() int {
+	if ds.idx != nil {
+		return len(ds.idx)
+	}
+	return len(ds.Samples)
+}
+
+// At returns the k-th sample of the set, 0 ≤ k < Len(). It points into the
+// backing store, which views share: read it, do not modify it.
+func (ds *DataSet) At(k int) *LabeledSample {
+	if ds.idx != nil {
+		return &ds.Samples[ds.idx[k]]
+	}
+	return &ds.Samples[k]
 }
 
 // Config controls training-data generation.
@@ -266,7 +293,7 @@ func Generate(cfg Config) (*DataSet, error) {
 	rng := trace.NewRNG(cfg.Seed)
 	pool := parallel.NewPool(cfg.Workers)
 	ctx := context.Background()
-	ds := &DataSet{}
+	var perRun [][]LabeledSample
 
 	for _, machine := range cfg.Platforms {
 		machine := machine
@@ -332,18 +359,24 @@ func Generate(cfg Config) (*DataSet, error) {
 				runs = append(runs, r)
 			}
 		}
-		perRun, err := parallel.Map(ctx, pool, len(runs), func(_ context.Context, i int) ([]LabeledSample, error) {
+		platformRuns, err := parallel.Map(ctx, pool, len(runs), func(_ context.Context, i int) ([]LabeledSample, error) {
 			return generateRun(cfg, machine, scalable, runs[i])
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, samples := range perRun {
-			ds.Samples = append(ds.Samples, samples...)
-		}
+		perRun = append(perRun, platformRuns...)
 	}
-	if len(ds.Samples) == 0 {
+	total := 0
+	for _, samples := range perRun {
+		total += len(samples)
+	}
+	if total == 0 {
 		return nil, fmt.Errorf("training: generated no samples")
+	}
+	ds := &DataSet{Samples: make([]LabeledSample, 0, total)}
+	for _, samples := range perRun {
+		ds.Samples = append(ds.Samples, samples...)
 	}
 	return ds, nil
 }
@@ -406,12 +439,24 @@ func generateRun(cfg Config, machine sim.MachineConfig, scalable map[string]bool
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LabeledSample, 0, len(tr.Samples))
+	if len(tr.Samples) < 2 {
+		return nil, nil
+	}
+	out := make([]LabeledSample, 0, len(tr.Samples)-1)
+	// Every speedup curve of the run is carved from one backing array.
+	curveLen := 0
 	for i := 0; i+1 < len(tr.Samples); i++ {
-		s := tr.Samples[i]
+		if c := tr.Samples[i].RateCurve; len(c) > 0 && c[0] > 0 {
+			curveLen += len(c)
+		}
+	}
+	backing := make([]float64, curveLen)
+	for i := 0; i+1 < len(tr.Samples); i++ {
+		s := &tr.Samples[i]
 		var speedups []float64
 		if len(s.RateCurve) > 0 && s.RateCurve[0] > 0 {
-			speedups = make([]float64, len(s.RateCurve))
+			speedups = backing[:len(s.RateCurve):len(s.RateCurve)]
+			backing = backing[len(s.RateCurve):]
 			for j, r := range s.RateCurve {
 				speedups[j] = r / s.RateCurve[0]
 			}
@@ -435,31 +480,29 @@ func generateRun(cfg Config, machine sim.MachineConfig, scalable map[string]bool
 // (§5.2.3: when predicting for program bt, bt is not in the training set).
 // Programs outside the training suite pass through unchanged.
 func (ds *DataSet) ExcludeProgram(name string) *DataSet {
-	return ds.Filter(func(s LabeledSample) bool { return s.Program != name })
+	return ds.Filter(func(s *LabeledSample) bool { return s.Program != name })
 }
 
-// Filter returns the subset of samples for which keep is true.
-func (ds *DataSet) Filter(keep func(LabeledSample) bool) *DataSet {
-	out := &DataSet{}
-	for _, s := range ds.Samples {
-		if keep(s) {
-			out.Samples = append(out.Samples, s)
+// Filter returns the view of the samples for which keep is true, in set
+// order. It shares ds's backing store and allocates only its index.
+func (ds *DataSet) Filter(keep func(*LabeledSample) bool) *DataSet {
+	n := 0
+	for k := 0; k < ds.Len(); k++ {
+		if keep(ds.At(k)) {
+			n++
 		}
 	}
-	return out
-}
-
-// Split partitions the samples by an arbitrary key.
-func (ds *DataSet) Split(key func(LabeledSample) string) map[string]*DataSet {
-	out := make(map[string]*DataSet)
-	for _, s := range ds.Samples {
-		k := key(s)
-		if out[k] == nil {
-			out[k] = &DataSet{}
+	idx := make([]int32, 0, n)
+	for k := 0; k < ds.Len(); k++ {
+		if keep(ds.At(k)) {
+			pos := int32(k)
+			if ds.idx != nil {
+				pos = ds.idx[k]
+			}
+			idx = append(idx, pos)
 		}
-		out[k].Samples = append(out[k].Samples, s)
 	}
-	return out
+	return &DataSet{Samples: ds.Samples, idx: idx}
 }
 
 // envValue extracts one environment dimension from a sample's NextEnv;
@@ -527,13 +570,13 @@ func solveEnv(acc *regress.Accumulator) (expert.VectorEnvModel, int, error) {
 // out-of-distribution blend. featSum holds the feature sums of the first
 // walk.
 func finishFit(e *expert.Expert, env expert.VectorEnvModel, ds *DataSet, featSum [features.Dim]float64) {
-	n := float64(len(ds.Samples))
+	n := float64(ds.Len())
 	for i, v := range featSum {
 		e.FeatMean[i] = v / n
 	}
 	var sumSq [features.EnvDim]float64
-	for k := range ds.Samples {
-		s := &ds.Samples[k]
+	for k := 0; k < ds.Len(); k++ {
+		s := ds.At(k)
 		for dim, m := range env.Models {
 			r := m.MustPredict(s.Features[:]) - envValue(s.NextEnv, dim)
 			sumSq[dim] += r * r
@@ -555,10 +598,11 @@ func finishFit(e *expert.Expert, env expert.VectorEnvModel, ds *DataSet, featSum
 // FitExpert fits one expert's predictor pair on the dataset: the thread
 // predictor w on oracle-best thread counts and the vector environment
 // predictor m, one linear model per environment dimension, plus the
-// speedup surface x(n, f). One walk streams every fit; a second computes
-// the residual scales and feature spreads.
+// speedup surface x(n, f). One walk over the set's samples (a view's index
+// list) streams every fit; a second computes the residual scales and
+// feature spreads.
 func FitExpert(name string, ds *DataSet, maxThreads int, trainedOn string) (*expert.Expert, error) {
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return nil, fmt.Errorf("training: expert %s has no training data", name)
 	}
 	acc, err := newExpertAccumulator()
@@ -574,8 +618,8 @@ func FitExpert(name string, ds *DataSet, maxThreads int, trainedOn string) (*exp
 		featSum [features.Dim]float64
 		basis   [expert.SpeedupBasisDim]float64
 	)
-	for i := range ds.Samples {
-		s := &ds.Samples[i]
+	for k := 0; k < ds.Len(); k++ {
+		s := ds.At(k)
 		streamSample(acc, s, s.BestThreads, &ys, &featSum)
 		// Speedup surface x(n, f) (§4.1): sample a subset of thread
 		// counts per state so the design stays balanced.
@@ -636,15 +680,15 @@ func BuildExperts4(ds *DataSet) (expert.Set, error) {
 	}
 	var set expert.Set
 	for _, sp := range specs {
-		sub := ds.Filter(func(s LabeledSample) bool {
+		sub := ds.Filter(func(s *LabeledSample) bool {
 			return s.Scalable == sp.scalable && s.PlatformCores == sp.cores
 		})
-		if len(sub.Samples) == 0 {
+		if sub.Len() == 0 {
 			// The slice can empty out under leave-one-out when a
 			// scalability class has a single program on a platform;
 			// fall back to the class across platforms so the expert
 			// still exists (the selector will rarely pick it).
-			sub = ds.Filter(func(s LabeledSample) bool { return s.Scalable == sp.scalable })
+			sub = ds.Filter(func(s *LabeledSample) bool { return s.Scalable == sp.scalable })
 		}
 		label := fmt.Sprintf("%s programs, %d-core platform", scalabilityLabel(sp.scalable), sp.cores)
 		e, err := FitExpert(sp.name, sub, sp.cores, label)
@@ -670,13 +714,13 @@ func BuildExperts8(ds *DataSet) (expert.Set, error) {
 	idx := 1
 	for _, sc := range []bool{true, false} {
 		for _, c := range []int{big, small} {
-			sub := ds.Filter(func(s LabeledSample) bool {
+			sub := ds.Filter(func(s *LabeledSample) bool {
 				return s.Scalable == sc && s.PlatformCores == c
 			})
-			if len(sub.Samples) == 0 {
+			if sub.Len() == 0 {
 				// Same leave-one-out fallback as BuildExperts4: widen
 				// to the scalability class across platforms.
-				sub = ds.Filter(func(s LabeledSample) bool { return s.Scalable == sc })
+				sub = ds.Filter(func(s *LabeledSample) bool { return s.Scalable == sc })
 			}
 			med := medianMemIntensity(sub)
 			// A finer expert needs enough data to fit its 18-basis
@@ -685,13 +729,13 @@ func BuildExperts8(ds *DataSet) (expert.Set, error) {
 			// of fitting garbage.
 			const minSliceSamples = 250
 			for half, keepLow := range []bool{true, false} {
-				part := sub.Filter(func(s LabeledSample) bool {
+				part := sub.Filter(func(s *LabeledSample) bool {
 					if keepLow {
 						return s.MemIntensity <= med
 					}
 					return s.MemIntensity > med
 				})
-				if len(part.Samples) < minSliceSamples {
+				if part.Len() < minSliceSamples {
 					// Degenerate split (all programs share one
 					// intensity, or leave-one-out emptied the
 					// half); reuse the whole slice.
@@ -725,7 +769,7 @@ func BuildExperts2(ds *DataSet) (expert.Set, error) {
 	big := maxCores(ds)
 	var set expert.Set
 	for i, sc := range []bool{true, false} {
-		sub := ds.Filter(func(s LabeledSample) bool { return s.Scalable == sc })
+		sub := ds.Filter(func(s *LabeledSample) bool { return s.Scalable == sc })
 		e, err := FitExpert(fmt.Sprintf("E%d", i+1), sub, big,
 			fmt.Sprintf("%s programs, both platforms", scalabilityLabel(sc)))
 		if err != nil {
@@ -746,8 +790,8 @@ func scalabilityLabel(s bool) string {
 // platformCores returns the distinct platform core counts, ascending.
 func platformCores(ds *DataSet) []int {
 	seen := map[int]bool{}
-	for _, s := range ds.Samples {
-		seen[s.PlatformCores] = true
+	for k := 0; k < ds.Len(); k++ {
+		seen[ds.At(k).PlatformCores] = true
 	}
 	out := make([]int, 0, len(seen))
 	for c := range seen {
@@ -759,21 +803,21 @@ func platformCores(ds *DataSet) []int {
 
 func maxCores(ds *DataSet) int {
 	maxC := 0
-	for _, s := range ds.Samples {
-		if s.PlatformCores > maxC {
-			maxC = s.PlatformCores
+	for k := 0; k < ds.Len(); k++ {
+		if c := ds.At(k).PlatformCores; c > maxC {
+			maxC = c
 		}
 	}
 	return maxC
 }
 
 func medianMemIntensity(ds *DataSet) float64 {
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return 0
 	}
-	vals := make([]float64, len(ds.Samples))
-	for i, s := range ds.Samples {
-		vals[i] = s.MemIntensity
+	vals := make([]float64, ds.Len())
+	for k := range vals {
+		vals[k] = ds.At(k).MemIntensity
 	}
 	med, err := stats.Median(vals)
 	if err != nil {

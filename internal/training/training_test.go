@@ -164,16 +164,16 @@ func TestBuildExperts2AndMonolithic(t *testing.T) {
 func TestExcludeProgram(t *testing.T) {
 	ds := tinyDataset(t)
 	sub := ds.ExcludeProgram("bt")
-	if len(sub.Samples) >= len(ds.Samples) {
+	if sub.Len() >= ds.Len() {
 		t.Error("exclusion removed nothing")
 	}
-	for _, s := range sub.Samples {
-		if s.Program == "bt" {
+	for k := 0; k < sub.Len(); k++ {
+		if sub.At(k).Program == "bt" {
 			t.Fatal("bt sample survived exclusion")
 		}
 	}
 	// Unknown program: passthrough.
-	if got := ds.ExcludeProgram("nope"); len(got.Samples) != len(ds.Samples) {
+	if got := ds.ExcludeProgram("nope"); got.Len() != ds.Len() {
 		t.Error("unknown exclusion should be a no-op")
 	}
 }

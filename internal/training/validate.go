@@ -28,10 +28,10 @@ func (k PredictorKind) String() string {
 // program being predicted is excluded from the training set) on the chosen
 // predictor over the dataset.
 func CrossValidate(ds *DataSet, kind PredictorKind) (regress.Metrics, error) {
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return regress.Metrics{}, fmt.Errorf("training: cross-validation on empty dataset")
 	}
-	return regress.LeaveOneOutFunc(len(ds.Samples), ds.predictorSample(kind), ds.programKey, regress.Options{Ridge: 1e-6})
+	return regress.LeaveOneOutFunc(ds.Len(), ds.predictorSample(kind), ds.programKey, regress.Options{Ridge: 1e-6})
 }
 
 // predictorSample reads the chosen predictor's regression samples straight
@@ -40,27 +40,27 @@ func CrossValidate(ds *DataSet, kind PredictorKind) (regress.Metrics, error) {
 func (ds *DataSet) predictorSample(kind PredictorKind) regress.SampleFunc {
 	if kind == ThreadPredictor {
 		return func(i int) ([]float64, float64) {
-			s := &ds.Samples[i]
+			s := ds.At(i)
 			return s.Features[:], s.BestThreads
 		}
 	}
 	return func(i int) ([]float64, float64) {
-		s := &ds.Samples[i]
+		s := ds.At(i)
 		return s.Features[:], s.NextEnv.Norm()
 	}
 }
 
 // programKey groups samples by target program, the paper's leave-one-out
 // granularity.
-func (ds *DataSet) programKey(i int) string { return ds.Samples[i].Program }
+func (ds *DataSet) programKey(i int) string { return ds.At(i).Program }
 
 // CrossValidateThreadMasked is CrossValidate for the thread predictor with
 // a feature mask (true = keep), backing the feature-set ablation.
 func CrossValidateThreadMasked(ds *DataSet, mask []bool) (regress.Metrics, error) {
-	if len(ds.Samples) == 0 {
+	if ds.Len() == 0 {
 		return regress.Metrics{}, fmt.Errorf("training: cross-validation on empty dataset")
 	}
-	return regress.LeaveOneOutFunc(len(ds.Samples), ds.predictorSample(ThreadPredictor), ds.programKey, regress.Options{Ridge: 1e-6, Mask: mask})
+	return regress.LeaveOneOutFunc(ds.Len(), ds.predictorSample(ThreadPredictor), ds.programKey, regress.Options{Ridge: 1e-6, Mask: mask})
 }
 
 // ImpactAccuracyFn returns a features.AccuracyFn for the dataset: it
@@ -79,7 +79,7 @@ func ImpactAccuracyFn(ds *DataSet, kind PredictorKind) features.AccuracyFn {
 			}
 			opts.Mask = mask
 		}
-		m, err := regress.LeaveOneOutFunc(len(ds.Samples), samples, ds.programKey, opts)
+		m, err := regress.LeaveOneOutFunc(ds.Len(), samples, ds.programKey, opts)
 		if err != nil {
 			return 0, err
 		}

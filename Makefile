@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke serve-smoke replica-smoke evolve-smoke stream-smoke
+.PHONY: build test race vet bench-smoke serve-smoke replica-smoke evolve-smoke stream-smoke
 
 build:
 	$(GO) build ./...
@@ -13,19 +13,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-# bench regenerates the committed per-study baselines, starting with the
-# engine comparison (BENCH_PR5.json, min-of-3, two-point step-loop
-# derivation). BENCH_PR6.json, the retired decision throughput study, is
-# frozen history; perfbench's embed workload measures decision throughput
-# now. Commit the results when the engine or a studied path changes on
-# purpose.
-bench:
-	$(GO) run ./cmd/moebench -bench-json BENCH_PR5.json
-	$(GO) run ./cmd/moebench -serve-json BENCH_PR7.json
-	$(GO) run ./cmd/moebench -replica-json BENCH_PR8.json
-	$(GO) run ./cmd/moebench -evolve-json BENCH_PR9.json
-	$(GO) run ./cmd/moebench -stream-json BENCH_PR10.json
 
 # serve-smoke drives the real moed binary end to end: JSON + NDJSON
 # decisions, chaos-tenant quarantine with a healthy bystander, metrics
@@ -51,12 +38,13 @@ stream-smoke:
 
 # evolve-smoke exercises the full expert lifecycle (birth, probation,
 # admission, retirement, replay determinism, frozen-pool byte-identity)
-# plus the drifting-machine study itself, which hard-fails unless the
-# living pool beats the frozen pool on hmean speedup after drift.
+# plus the drifting-machine study itself (TestEvolveStudyLivingBeatsFrozen),
+# which fails unless the living pool beats the frozen pool on hmean speedup
+# after drift.
 evolve-smoke:
 	$(GO) test ./internal/core/ -run 'TestEvolution|TestGoldenTrace|TestHealthiest|TestRestore' -count=1
 	$(GO) test . -run 'TestRuntimeRestartEvolvingPool|TestRuntimeResumePoolMismatchTyped' -count=1
-	$(GO) run ./cmd/moebench -evolve-json /tmp/evolve-smoke.json
+	$(GO) test ./internal/experiments/ -run TestEvolveStudyLivingBeatsFrozen -count=1
 
 # bench-smoke is the CI guard: cheap fixed-iteration runs of the sim
 # stepping-loop, batch decision, single-shot decision (the same dispatcher

@@ -119,27 +119,6 @@ var registry = map[string]runner{
 	"telemetry": func(l *experiments.Lab, sc experiments.Scale) (*experiments.Table, error) {
 		return l.TelemetryStudy(sc)
 	},
-	"serve": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
-		rep, err := runServe(defaultServeOpts())
-		if err != nil {
-			return nil, err
-		}
-		return serveTable(rep), nil
-	},
-	"stream": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
-		rep, err := runStream(defaultStreamOpts())
-		if err != nil {
-			return nil, err
-		}
-		return streamTable(rep), nil
-	},
-	"replica": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
-		rep, err := runReplica(defaultReplicaOpts())
-		if err != nil {
-			return nil, err
-		}
-		return replicaTable(rep), nil
-	},
 	"evolve": func(_ *experiments.Lab, _ experiments.Scale) (*experiments.Table, error) {
 		rep, err := experiments.RunEvolveStudy(experiments.DefaultEvolveOptions())
 		if err != nil {
@@ -155,8 +134,7 @@ var order = []string{
 	"fig10", "fig11", "fig12", "fig13a", "fig13b", "fig14a", "fig14b",
 	"fig14c", "fig15a", "fig15b", "fig15c", "fig16", "fig17", "cv",
 	"ablation-gating", "ablation-features", "portability", "churn",
-	"chaos", "restart", "telemetry", "serve", "stream",
-	"replica", "evolve",
+	"chaos", "restart", "telemetry", "evolve",
 }
 
 func main() {
@@ -169,15 +147,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent scenario evaluations (0 = GOMAXPROCS, 1 = serial); output is identical for every setting")
 	chaosFlag := flag.Bool("chaos", false, "shorthand for -experiment chaos (fault-injection robustness study)")
 	stepping := flag.String("stepping", "event", "simulation engine: event (event-horizon) or fixed (dt-by-dt reference); observables agree within 1e-9")
-	benchJSON := flag.String("bench-json", "", "measure both engines on the canonical scenario, write the JSON report to this path, and exit")
-	serveJSON := flag.String("serve-json", "", "run the multi-tenant daemon chaos-load study, write the JSON report to this path, and exit")
-	streamJSON := flag.String("stream-json", "", "run the transport study (json vs ndjson vs wire, plus journal group commit), write the JSON report to this path, and exit")
-	streamDrive := flag.String("stream-drive", "", "client mode: stream -stream-decisions across -stream-tenants wire sessions against this moed base URL, print a JSON summary, and exit")
-	streamTenants := flag.Int("stream-tenants", 8, "tenant sessions for -stream-drive")
-	streamDecisions := flag.Int("stream-decisions", 10000, "total decisions for -stream-drive")
-	streamBase := flag.Int("stream-base", 0, "per-tenant decisions already served (resume check for -stream-drive; responses must count up from it)")
-	replicaJSON := flag.String("replica-json", "", "run the hot-standby replication study (throughput on vs off, lag, failover), write the JSON report to this path, and exit")
-	evolveJSON := flag.String("evolve-json", "", "run the living-vs-frozen pool drift study, write the JSON report to this path, and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -192,63 +161,9 @@ func main() {
 	defer stopCPU()
 	defer writeHeapProfile(*memprofile)
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: bench: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveJSON != "" {
-		if err := writeServeJSON(*serveJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: serve: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *streamJSON != "" {
-		if err := writeStreamJSON(*streamJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: stream: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *streamDrive != "" {
-		if err := driveStream(*streamDrive, *streamTenants, *streamDecisions, *streamBase); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: stream-drive: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *replicaJSON != "" {
-		if err := writeReplicaJSON(*replicaJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: replica: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *evolveJSON != "" {
-		if err := writeEvolveJSON(*evolveJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "moebench: evolve: %v\n", err)
-			stopCPU()
-			os.Exit(1)
-		}
-		return
-	}
-
-	// The serve, stream, and evolve studies need no trained lab; serve them
-	// before the training step when one is the only request.
-	if !*all && (*experiment == "serve" || *experiment == "stream" || *experiment == "evolve") && !*list {
+	// The evolve study needs no trained lab; serve it before the training
+	// step when it is the only request.
+	if !*all && *experiment == "evolve" && !*list {
 		t, err := registry[*experiment](nil, experiments.QuickScale())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "moebench: %s failed: %v\n", *experiment, err)

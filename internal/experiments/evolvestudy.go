@@ -49,8 +49,8 @@ type EvolveOptions struct {
 	Evolution evolve.Config
 }
 
-// DefaultEvolveOptions returns the committed-benchmark configuration
-// (BENCH_PR9.json).
+// DefaultEvolveOptions returns the study's reference configuration, the
+// one TestEvolveStudyLivingBeatsFrozen holds (and BENCH_PR9.json froze).
 func DefaultEvolveOptions() EvolveOptions {
 	return EvolveOptions{
 		Targets:    []string{"lu", "cg", "mg"},
@@ -83,7 +83,7 @@ type EvolveRow struct {
 	FinalPool   float64 `json:"final_pool_size"`
 }
 
-// EvolveReport is the study's JSON artifact.
+// EvolveReport is the study's result (BENCH_PR9.json froze one as JSON).
 type EvolveReport struct {
 	Targets    []string `json:"targets"`
 	Workload   []string `json:"workload"`

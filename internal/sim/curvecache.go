@@ -74,8 +74,10 @@ func equalKey(a, b []uint64) bool {
 
 // curveFor returns the parallel-phase rate for every thread count
 // 1..Cores in the instance's current environment, memoized on the
-// contention signature. The returned slice is owned by the cache: callers
-// must copy it if they retain it past the next engine step.
+// contention signature. Every call that misses builds a fresh slice and
+// nothing writes to it afterwards (a full cache drops its map, never the
+// slices), so callers may keep the returned slice, read-only, for as long
+// as they like; Sample.RateCurve shares it.
 func curveFor(in *instance, insts []*instance, es *engineState, avail int) []float64 {
 	c := &es.curves
 	key := c.signature(in, insts, avail)

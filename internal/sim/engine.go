@@ -90,7 +90,9 @@ type Sample struct {
 	OracleN  int     // oracle-optimal thread count at this instant
 	// RateCurve holds the ground-truth parallel-phase rate for every
 	// thread count 1..cores, RateCurve[n-1] for n threads; it labels the
-	// paper's speedup model x(n, f) (§4.1). Each sample owns its copy.
+	// paper's speedup model x(n, f) (§4.1). The slice is the engine's
+	// curve for this contention signature, shared with every other sample
+	// taken under it: read it, never write to it.
 	RateCurve  []float64
 	Region     int // flat region-execution index
 	Available  int // processors online
@@ -930,7 +932,7 @@ func consult(in *instance, insts []*instance, es *engineState, env features.Env,
 			// The curve is keyed on everything but this program's own
 			// demand, so the decision just made does not move it.
 			sample.OracleN, sample.BestRate = oracleThreads(curve)
-			sample.RateCurve = append([]float64(nil), curve...)
+			sample.RateCurve = curve
 		}
 		if in.result.Samples == nil {
 			in.result.Samples = make([]Sample, 0, sampleCapacity(s.MaxTime-t, ctrl, prog.RegionCount()))

@@ -21,12 +21,12 @@ STREAM=127.0.0.1:9188
 CKPT="$WORK/ckpt"
 TENANTS=8
 DECISIONS=10000
-# driveStream serves DECISIONS/(TENANTS*4) frames of 4 observations per
+# streamdrive serves DECISIONS/(TENANTS*4) frames of 4 observations per
 # tenant; this is the per-tenant count the restart must resume from.
 PER_TENANT=$(( DECISIONS / (TENANTS * 4) * 4 ))
 
 go build -o "$WORK/moed" ./cmd/moed
-go build -o "$WORK/moebench" ./cmd/moebench
+go build -o "$WORK/streamdrive" ./scripts/streamdrive
 
 start_moed() {
     "$WORK/moed" -listen "$ADDR" -stream-addr "$STREAM" \
@@ -55,7 +55,7 @@ PY
 
 echo "stream-smoke: phase 1 — $DECISIONS decisions over $TENANTS wire sessions"
 start_moed
-OUT=$("$WORK/moebench" -stream-drive "$STREAM" -stream-tenants "$TENANTS" -stream-decisions "$DECISIONS")
+OUT=$("$WORK/streamdrive" -target "$STREAM" -tenants "$TENANTS" -decisions "$DECISIONS")
 check_acked "$OUT" "$PER_TENANT"
 
 echo "stream-smoke: phase 2 — SIGTERM, drain must be clean (exit 0)"
@@ -68,8 +68,8 @@ MOED_PID=""
 
 echo "stream-smoke: phase 3 — restart, counters must resume at $PER_TENANT/tenant"
 start_moed
-OUT=$("$WORK/moebench" -stream-drive "$STREAM" -stream-tenants "$TENANTS" \
-    -stream-decisions $(( TENANTS * 4 * 8 )) -stream-base "$PER_TENANT")
+OUT=$("$WORK/streamdrive" -target "$STREAM" -tenants "$TENANTS" \
+    -decisions $(( TENANTS * 4 * 8 )) -base "$PER_TENANT")
 check_acked "$OUT" 32
 
 kill -TERM "$MOED_PID" && wait "$MOED_PID" || { echo "stream-smoke: final drain failed" >&2; exit 1; }
